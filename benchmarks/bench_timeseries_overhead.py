@@ -1,21 +1,29 @@
 """Overhead of the windowed-telemetry recorder.
 
-Two measurements, both persisted into BENCH_SUMMARY.json so CI can smoke
+Three measurements, all persisted into BENCH_SUMMARY.json so CI can smoke
 them without scraping tables:
 
 1. the microcost of one ``poll`` that crosses a tick boundary over a
    service-shaped registry (the per-tick snapshot: counter deltas,
-   histogram bucket diffs, burn-rate rule evaluation), and
-2. the end-to-end cost a 0.5s-interval recorder adds to a seeded loadgen
+   histogram bucket diffs, burn-rate rule evaluation),
+2. the same poll with a ``flush_path``, so every tick also rewrites
+   ``timeseries.jsonl`` the way ``obs top --watch`` follows it — measured
+   with 30 and with 300 ticks retained in the ring, so a flush whose cost
+   grows with the ring shows up as a gap between the two, and
+3. the end-to-end cost a 0.5s-interval recorder adds to a seeded loadgen
    campaign, as a ratio against the same campaign with telemetry off.
 
 The assertions are deliberately generous — they catch "the recorder made
-campaigns several times slower", not scheduler jitter.
+campaigns several times slower", not scheduler jitter. The flush figures
+are informational; ``test_each_tick_is_encoded_once`` in
+``tests/test_obs_timeseries.py`` is the deterministic gate on flush cost.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 
 from conftest import emit, emit_json
 
@@ -52,6 +60,27 @@ def _spin_registry(registry: MetricsRegistry, step: int) -> None:
     for i in range(20):
         registry.observe("service.latency", 0.001 * (1 + (step + i) % 40))
         registry.observe("service.queue_wait", 0.0005 * (1 + (step + i) % 25))
+
+
+def _flush_us_per_tick(retained: int, polls: int = 50) -> float:
+    """Per-tick cost of a flushing poll once ``retained`` ticks fill the ring."""
+    registry = _service_registry()
+    with tempfile.TemporaryDirectory() as tmp:
+        recorder = TimeSeriesRecorder(
+            registry,
+            interval=1.0,
+            rules=default_service_rules(),
+            capacity=retained,
+            flush_path=Path(tmp) / "timeseries.jsonl",
+        )
+        for step in range(retained):
+            _spin_registry(registry, step)
+            recorder.poll(float(step + 1))
+        start = time.perf_counter()
+        for step in range(retained, retained + polls):
+            _spin_registry(registry, step)
+            recorder.poll(float(step + 1))
+        return (time.perf_counter() - start) / polls * 1e6
 
 
 def test_perf_timeseries_poll(benchmark):
@@ -102,6 +131,8 @@ def test_timeseries_overhead_summary():
         _spin_registry(registry, step)
         recorder.poll(float(step + 1))
     per_tick_us = (time.perf_counter() - start) / polls * 1e6
+    flush_30 = _flush_us_per_tick(30)
+    flush_300 = _flush_us_per_tick(300)
 
     payload = {
         "loadgen_seconds_off": round(off, 4),
@@ -109,6 +140,8 @@ def test_timeseries_overhead_summary():
         "overhead_ratio": overhead,
         "ticks_recorded": ticks,
         "poll_us_per_tick": round(per_tick_us, 1),
+        "flush_us_per_tick_30": round(flush_30, 1),
+        "flush_us_per_tick_300": round(flush_300, 1),
     }
     emit_json("timeseries_overhead", payload)
     emit(
@@ -119,6 +152,8 @@ def test_timeseries_overhead_summary():
                 f"off={off * 1e3:.1f}ms on={on * 1e3:.1f}ms "
                 f"({overhead}x, {ticks} ticks)",
                 f"recorder poll (snapshot + rules): {per_tick_us:.1f}us/tick",
+                f"recorder poll + flush: {flush_30:.1f}us/tick at 30 retained ticks, "
+                f"{flush_300:.1f}us/tick at 300",
             ]
         ),
     )

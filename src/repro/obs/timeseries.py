@@ -189,6 +189,15 @@ class TickRecord:
                 mine.merge(window)
         return self
 
+    def copy(self) -> "TickRecord":
+        return TickRecord(
+            tick=self.tick,
+            time=self.time,
+            counters=dict(self.counters),
+            gauges=dict(self.gauges),
+            histograms={name: w.copy() for name, w in self.histograms.items()},
+        )
+
     def to_dict(self) -> dict:
         return {
             "tick": self.tick,
@@ -219,6 +228,31 @@ def _alert_sort_key(event: AlertEvent):
     return (event.tick, event.rule, event.kind)
 
 
+# ---------------------------------------------------------------------------
+# line encoders — the one format path shared by ``TimeSeries.to_jsonl`` and
+# the recorder's per-tick flush, so the two can never drift apart
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _header_line(interval: float) -> str:
+    return _dumps({"schema_version": TIMESERIES_SCHEMA_VERSION, "interval": interval})
+
+
+def _record_line(record: TickRecord) -> str:
+    return _dumps(record.to_dict())
+
+
+def _alert_line(event: AlertEvent) -> str:
+    return _dumps({"alert": event.to_dict()})
+
+
+def _join_lines(header: str, records, alerts) -> str:
+    return "\n".join([header, *records, *alerts]) + "\n"
+
+
 @dataclass
 class TimeSeries:
     """A sequence of tick records plus the alert events they produced."""
@@ -240,8 +274,7 @@ class TimeSeries:
         for record in other.records:
             mine = by_tick.get(record.tick)
             if mine is None:
-                copy = TickRecord.from_dict(record.to_dict())
-                by_tick[record.tick] = copy
+                by_tick[record.tick] = record.copy()
             else:
                 mine.merge(record)
         self.records = [by_tick[tick] for tick in sorted(by_tick)]
@@ -281,23 +314,11 @@ class TimeSeries:
     # -- serialization ----------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        header = json.dumps(
-            {"schema_version": TIMESERIES_SCHEMA_VERSION, "interval": self.interval},
-            sort_keys=True,
-            separators=(",", ":"),
+        return _join_lines(
+            _header_line(self.interval),
+            [_record_line(r) for r in sorted(self.records, key=lambda r: r.tick)],
+            [_alert_line(e) for e in sorted(self.alerts, key=_alert_sort_key)],
         )
-        lines = [header]
-        for record in sorted(self.records, key=lambda r: r.tick):
-            lines.append(
-                json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
-        for event in sorted(self.alerts, key=_alert_sort_key):
-            lines.append(
-                json.dumps(
-                    {"alert": event.to_dict()}, sort_keys=True, separators=(",", ":")
-                )
-            )
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TimeSeries":
@@ -351,12 +372,16 @@ class TimeSeries:
         return cls(interval=float(interval), records=records, alerts=alerts)
 
 
-def write_timeseries_jsonl(path, series: TimeSeries) -> int:
-    """Atomically persist a series; returns the number of tick records."""
+def _write_atomic(path, text: str) -> None:
     path = pathlib.Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(series.to_jsonl())
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def write_timeseries_jsonl(path, series: TimeSeries) -> int:
+    """Atomically persist a series; returns the number of tick records."""
+    _write_atomic(path, series.to_jsonl())
     return len(series.records)
 
 
@@ -412,6 +437,10 @@ class TimeSeriesRecorder:
                 )
         self._records: deque = deque(maxlen=self.capacity)
         self._alerts: deque = deque(maxlen=self.capacity)
+        # with a flush path, each tick and alert is encoded once, when it
+        # is recorded; the line rings evict in lockstep with the rings above
+        self._record_lines: deque = deque(maxlen=self.capacity)
+        self._alert_lines: deque = deque(maxlen=self.capacity)  # (sort key, line)
         self._firing: dict = {}
         self._emitted = 0
         self._prev_counters: dict = {}
@@ -439,12 +468,24 @@ class TimeSeriesRecorder:
 
     def finish(self, now: float) -> None:
         """Final poll + flush (for end-of-run / cooldown observation)."""
-        self.poll(now)
-        if self.flush_path is not None:
+        if not self.poll(now) and self.flush_path is not None:
             self.flush()
 
     def flush(self) -> None:
-        write_timeseries_jsonl(self.flush_path, self.timeseries())
+        """Atomically rewrite ``flush_path`` from the cached lines.
+
+        Byte-identical to ``write_timeseries_jsonl(path, self.timeseries())``
+        without re-encoding the retained ring.
+        """
+        alerts = sorted(self._alert_lines, key=lambda pair: pair[0])
+        _write_atomic(
+            self.flush_path,
+            _join_lines(
+                _header_line(self.interval),
+                self._record_lines,
+                [line for _, line in alerts],
+            ),
+        )
 
     # -- snapshots --------------------------------------------------------------------
 
@@ -480,11 +521,18 @@ class TimeSeriesRecorder:
             histograms=histograms,
         )
         self._records.append(record)
+        flushing = self.flush_path is not None
+        if flushing:
+            self._record_lines.append(_record_line(record))
         if self.rules is not None:
             events = self.rules.evaluate(
                 list(self._records), self.interval, self._firing
             )
             self._alerts.extend(events)
+            if flushing:
+                self._alert_lines.extend(
+                    (_alert_sort_key(event), _alert_line(event)) for event in events
+                )
 
     # -- views ------------------------------------------------------------------------
 
@@ -497,8 +545,11 @@ class TimeSeriesRecorder:
         return list(self._alerts)
 
     def timeseries(self) -> TimeSeries:
+        """A detached copy: merging into it never touches the ring."""
         return TimeSeries(
-            interval=self.interval, records=self.records, alerts=self.alerts
+            interval=self.interval,
+            records=[record.copy() for record in self._records],
+            alerts=self.alerts,
         )
 
 

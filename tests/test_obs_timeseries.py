@@ -176,6 +176,72 @@ class TestFlush:
         recorder.finish(0.2)  # no completed tick yet
         assert read_timeseries_jsonl(path).records == []
 
+    def test_finish_whose_poll_emitted_writes_once(self, tmp_path, monkeypatch):
+        writes = []
+        real_flush = TimeSeriesRecorder.flush
+
+        def counting_flush(recorder):
+            writes.append(recorder.flush_path)
+            real_flush(recorder)
+
+        monkeypatch.setattr(TimeSeriesRecorder, "flush", counting_flush)
+        path = tmp_path / "timeseries.jsonl"
+        recorder = TimeSeriesRecorder(MetricsRegistry(), interval=1.0, flush_path=path)
+        recorder.finish(2.5)
+        assert writes == [path]
+        assert len(read_timeseries_jsonl(path).records) == 2
+
+    def test_each_tick_is_encoded_once(self, tmp_path, monkeypatch):
+        """N boundary-crossing polls with a flush path encode N records.
+
+        Re-serializing the whole ring on every flush would make this
+        N*(N+1)/2; the pin keeps the per-tick flush linear in the run.
+        """
+        from repro.obs.alerts import default_service_rules
+
+        calls = []
+        real_to_dict = TickRecord.to_dict
+
+        def counting_to_dict(record):
+            calls.append(record.tick)
+            return real_to_dict(record)
+
+        monkeypatch.setattr(TickRecord, "to_dict", counting_to_dict)
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(
+            registry,
+            interval=1.0,
+            rules=default_service_rules(),
+            flush_path=tmp_path / "timeseries.jsonl",
+        )
+        polls = 200
+        for step in range(polls):
+            registry.inc("service.requests.offered", 3)
+            registry.observe("service.latency", 0.001 * (1 + step % 40))
+            assert recorder.poll(float(step + 1)) == 1
+        assert len(calls) == polls
+        assert calls == list(range(polls))
+
+
+class TestRingAliasing:
+    def test_merging_into_timeseries_leaves_the_ring_alone(self, tmp_path):
+        path = tmp_path / "timeseries.jsonl"
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, interval=1.0, flush_path=path)
+        registry.inc("work.done", 2)
+        registry.observe("service.latency", 0.02)
+        registry.gauge_max("service.queue.depth", 3)
+        recorder.poll(2.0)
+        before_records = [record.to_dict() for record in recorder.records]
+        before_bytes = path.read_bytes()
+
+        other = read_timeseries_jsonl(path)  # the same ticks, detached
+        merged = recorder.timeseries().merge(other)
+        assert merged.records[0].counters["work.done"] == 4
+        assert [record.to_dict() for record in recorder.records] == before_records
+        recorder.flush()
+        assert path.read_bytes() == before_bytes
+
 
 class TestRecorderProgress:
     def test_polls_on_advance_and_finish(self):

@@ -10,19 +10,27 @@ Three invariants keep the windowed-telemetry layer honest:
 3. Ring-buffer eviction never rewrites history: the ticks a
    small-capacity recorder retains are byte-identical to the same ticks
    in an unbounded recorder fed the same schedule.
+4. The per-tick flush, which writes lines cached when each tick and
+   alert was recorded, is byte-identical to re-serializing the whole
+   recorder with ``to_jsonl`` after every poll.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.alerts import AlertRule, AlertRuleSet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     HistogramWindow,
     TickRecord,
     TimeSeries,
     TimeSeriesRecorder,
+    read_timeseries_jsonl,
 )
 
 # ---------------------------------------------------------------------------
@@ -186,3 +194,58 @@ def test_eviction_never_changes_retained_window_values(schedule, capacity):
     ticks = [record.tick for record in retained]
     assert ticks == list(range(ticks[0], ticks[0] + len(ticks)))
     assert ticks[-1] == unbounded.records[-1].tick
+
+
+# ---------------------------------------------------------------------------
+# cached-line flush vs full re-serialization
+
+
+_FLAP_RULES = AlertRuleSet(
+    rules=(
+        AlertRule.parse("hot", "work.done>4", windows=(1.0, 2.0)),
+        AlertRule.parse("slow", "service.latency.p99>0.5", windows=(1.0,)),
+    )
+)
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("inc"), st.sampled_from(["work.done", "x"]), st.integers(0, 12)),
+        st.tuples(st.just("observe"), st.just("service.latency"), st.sampled_from([0.004, 0.2, 0.9])),
+        st.tuples(st.just("gauge"), st.just("service.queue.depth"), st.integers(0, 40)),
+        st.tuples(st.just("poll"), st.just(""), st.floats(min_value=0.0, max_value=4.5)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=_steps, capacity=st.integers(min_value=2, max_value=5))
+def test_flushed_file_equals_full_reserialization(steps, capacity):
+    registry = MetricsRegistry()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timeseries.jsonl"
+        recorder = TimeSeriesRecorder(
+            registry, interval=1.0, rules=_FLAP_RULES, capacity=capacity, flush_path=path
+        )
+        now = 0.0
+        for op, name, value in steps:
+            if op == "inc":
+                registry.inc(name, value)
+            elif op == "observe":
+                registry.observe(name, value)
+            elif op == "gauge":
+                registry.gauge_max(name, value)
+            else:
+                now += value
+                recorder.poll(now)
+                if recorder.records:  # the first emitted tick creates the file
+                    _assert_flushed(path, recorder)
+        recorder.finish(now + 1.0)
+        _assert_flushed(path, recorder)
+
+
+def _assert_flushed(path, recorder):
+    text = path.read_text()
+    assert text == recorder.timeseries().to_jsonl()
+    assert read_timeseries_jsonl(path).to_jsonl() == text
