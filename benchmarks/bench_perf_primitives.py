@@ -7,6 +7,9 @@ computation, HTML parsing, filter matching — are visible across runs.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.blockchain.hashing import DEFAULT_PARAMS, FAST_PARAMS, cryptonight
@@ -175,12 +178,16 @@ def test_perf_browser_visit(benchmark):
     assert result.status == "ok"
 
 
-# -- fastpath vs reference detection hot paths -------------------------------
+# -- production vs reference detection hot paths -----------------------------
 #
-# Same workload through both implementations, so every row in the summary
-# has a visible twin and BENCH_SUMMARY.json carries the speedup CI gates on.
+# Same workload through production and the reference oracle in
+# tests/oracles, so every row in the summary has a visible twin and
+# BENCH_SUMMARY.json carries the speedup CI gates on.
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro.core import fastpath  # noqa: E402
+from tests import oracles  # noqa: E402
 from repro.core.signatures import unordered_signature, whole_module_signature  # noqa: E402
 from repro.web.html import extract_scripts, scan_scripts  # noqa: E402
 
@@ -201,14 +208,16 @@ def _match_all_urls():
     return [_NOCOIN.match_url(url) for url in _URLS]
 
 
+def _match_all_urls_reference():
+    return [oracles.match_url(_NOCOIN, url) for url in _URLS]
+
+
 def test_perf_filter_urls_fastpath(benchmark):
-    with fastpath.configure(True):
-        benchmark(_match_all_urls)
+    benchmark(_match_all_urls)
 
 
 def test_perf_filter_urls_reference(benchmark):
-    with fastpath.configure(False):
-        benchmark(_match_all_urls)
+    benchmark(_match_all_urls_reference)
 
 
 def test_perf_wasm_signature_memoized(benchmark):
@@ -264,10 +273,8 @@ def test_fastpath_speedup_summary():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    with fastpath.configure(True):
-        fast_urls = best_of(_match_all_urls)
-    with fastpath.configure(False):
-        ref_urls = best_of(_match_all_urls)
+    fast_urls = best_of(_match_all_urls)
+    ref_urls = best_of(_match_all_urls_reference)
 
     fast_scan = best_of(lambda: scan_scripts(_HTML))
     ref_scan = best_of(lambda: extract_scripts(_HTML))

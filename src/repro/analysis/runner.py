@@ -22,7 +22,6 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
-from repro.core import fastpath
 from repro.core.pool_association import BlockAttributor
 from repro.faults.ledger import FaultLedger
 from repro.graph.build import add_verdict
@@ -87,9 +86,6 @@ class ReproductionConfig:
     strata: str = ""
     #: scan only K sampled ranks per stratum (0 = the full population)
     sample_per_stratum: int = 0
-    #: batched detection hot paths (repro.core.fastpath); False selects
-    #: the rule-by-rule reference paths — verdicts are identical either way
-    fastpath: bool = True
 
 
 @dataclass
@@ -117,7 +113,6 @@ class ReproductionReport:
 def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
     """Run every experiment; returns the assembled report."""
     config = config if config is not None else ReproductionConfig()
-    fastpath.set_enabled(config.fastpath)
     report = ReproductionReport(config=config)
     observe = (
         bool(config.trace_out)
@@ -384,7 +379,6 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 "population_size": config.population_size,
                 "strata": config.strata,
                 "sample_per_stratum": config.sample_per_stratum,
-                "fastpath": config.fastpath,
             },
         )
         registry = MetricsRegistry()

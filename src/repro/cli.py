@@ -62,7 +62,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def _cmd_nocoin(args: argparse.Namespace) -> int:
     from repro.core.nocoin import default_nocoin_list, FilterList
-    from repro.web.html import extract_scripts
+    from repro.web.html import scan_scripts
 
     if args.list:
         lines = pathlib.Path(args.list).read_text().splitlines()
@@ -72,7 +72,7 @@ def _cmd_nocoin(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         html = pathlib.Path(path).read_text(errors="replace")
-        hits = nocoin.match_scripts(extract_scripts(html))
+        hits = nocoin.match_scripts(scan_scripts(html))
         if hits:
             labels = sorted({rule.label or rule.raw for rule in hits})
             print(f"{path}: HIT ({', '.join(labels)})")
@@ -121,9 +121,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.obs.heartbeat import ProgressReporter
     from repro.obs.profile import NULL_OBS, make_obs, render_profile
 
-    from repro.core import fastpath
-
-    fastpath.set_enabled(args.fastpath)
     timeseries_interval = getattr(args, "timeseries_interval", 0.0) or 0.0
     if timeseries_interval < 0:
         print("error: --timeseries-interval must be >= 0", file=sys.stderr)
@@ -359,7 +356,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 "population_size": population_size,
                 "strata": getattr(args, "strata", "") or "",
                 "sample_per_stratum": getattr(args, "sample_per_stratum", 0) or 0,
-                "fastpath": bool(args.fastpath),
             },
         )
         registry = MetricsRegistry()
@@ -377,7 +373,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
-    from repro.core import fastpath
     from repro.faults.plan import build_fault_plan
     from repro.internet.population import build_population
     from repro.service.loadgen import LoadgenConfig, build_requests, synthesize_capture
@@ -410,7 +405,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    fastpath.set_enabled(args.fastpath)
     population = build_population(args.dataset, seed=args.seed, scale=args.scale)
     server = VerdictServer(
         population=population,
@@ -550,7 +544,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "fault_profile": args.fault_profile or "",
                 "timeseries_interval": interval,
                 "heartbeat": args.heartbeat,
-                "fastpath": bool(args.fastpath),
             },
         )
         registry = MetricsRegistry()
@@ -571,10 +564,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
-    from repro.core import fastpath
     from repro.service.loadgen import LoadgenConfig, run_loadgen
 
-    fastpath.set_enabled(args.fastpath)
     if args.timeseries_interval < 0:
         print("error: --timeseries-interval must be >= 0", file=sys.stderr)
         return 2
@@ -627,7 +618,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "timeseries_interval": config.timeseries_interval,
                 "cooldown": config.cooldown,
                 "heartbeat": config.heartbeat,
-                "fastpath": bool(args.fastpath),
             },
         )
         registry = MetricsRegistry()
@@ -695,7 +685,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     config = ReproductionConfig(
         seed=args.seed,
-        fastpath=bool(args.fastpath),
         crawl_scale=args.crawl_scale,
         population_size=args.population_size,
         strata=args.strata,
@@ -1527,18 +1516,6 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fastpath_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use the batched detection hot paths (combined filter-list "
-        "automaton, wasm decode/signature memo, single-pass HTML scan); "
-        "--no-fastpath selects the rule-by-rule reference paths — "
-        "verdicts are byte-identical either way",
-    )
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -1623,7 +1600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Chrome pass instead of building the reference database",
     )
     _add_obs_flags(p)
-    _add_fastpath_flag(p)
     p.set_defaults(func=_cmd_crawl)
 
     p = sub.add_parser("serve", help="one-shot verdict-server demo")
@@ -1683,7 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="chaos profile: none | mild | heavy | kind=rate,...",
     )
-    _add_fastpath_flag(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1752,7 +1727,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live progress + service health (queue depth, shed rate, "
         "degradation tier) every SECS simulated seconds",
     )
-    _add_fastpath_flag(p)
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("shortlinks", help="run the cnhv.co study")
@@ -1800,7 +1774,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crawl checkpoint-journal directory (see `crawl --resume-from`)",
     )
     _add_obs_flags(p)
-    _add_fastpath_flag(p)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("obs", help="analyze persisted run directories")

@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core import fastpath
-from repro.core.features import WasmFeatures, extract_features
-from repro.core.signatures import SignatureDatabase, wasm_signature
+from repro.core.features import WasmFeatures
+from repro.core.signatures import SignatureDatabase
 from repro.obs.evidence import Evidence
-from repro.wasm.decoder import WasmDecodeError, function_body_bytes
+from repro.wasm.decoder import WasmDecodeError
+
+# Unused here; perfbench/tracing.py patches these names on this module.
+from repro.core.features import extract_features  # noqa: F401
+from repro.wasm.decoder import function_body_bytes  # noqa: F401
 
 #: WebSocket URL substrings → family, the "communication backend" feature.
 KNOWN_BACKENDS: tuple = (
@@ -80,10 +84,7 @@ class MinerClassifier:
                 confidence=1.0,
             )
         try:
-            if fastpath.enabled():
-                features = fastpath.shared_cache().features(wasm_bytes)
-            else:
-                features = extract_features(wasm_bytes)
+            features = fastpath.shared_cache().features(wasm_bytes)
         except WasmDecodeError:
             return Classification(False, "invalid", "none", 0.0)
 
@@ -159,13 +160,9 @@ class MinerClassifier:
         verdict = "miner" if classification.is_miner else "benign"
         if classification.method == "signature":
             record = self.database.lookup(wasm_bytes)
-            if fastpath.enabled():
-                cache = fastpath.shared_cache()
-                hashes = len(cache.bodies(wasm_bytes))
-                signature = cache.ordered_signature(wasm_bytes)
-            else:
-                hashes = len(function_body_bytes(wasm_bytes))
-                signature = wasm_signature(wasm_bytes)
+            cache = fastpath.shared_cache()
+            hashes = len(cache.bodies(wasm_bytes))
+            signature = cache.ordered_signature(wasm_bytes)
             return Evidence(
                 detector="signature",
                 verdict=verdict,

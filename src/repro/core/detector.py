@@ -18,11 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core import fastpath
 from repro.core.classifier import Classification, MinerClassifier
 from repro.core.nocoin import FilterList, default_nocoin_list
 from repro.obs.evidence import Evidence
-from repro.web.html import extract_scripts, scan_scripts
+from repro.web.html import scan_scripts
 
 # ---------------------------------------------------------------------------
 # degradation tiers (the service's load-shedding ladder)
@@ -203,7 +202,7 @@ class PageDetector:
                 return
 
     def _apply_nocoin(self, report: DetectionReport, html: str) -> None:
-        scripts = scan_scripts(html) if fastpath.enabled() else extract_scripts(html)
+        scripts = scan_scripts(html)
         if self.collect_evidence:
             matches = self.nocoin.explain_scripts(scripts)
             if matches:

@@ -1,9 +1,9 @@
 """Batch/automaton hot paths for the detection cascade.
 
-The reference detectors are deliberately simple — rule-by-rule
-``re.search`` loops, a fresh wasm decode per lookup, a full DOM build per
-page. At paper scale (138M domains) those loops are the entire wall
-clock. This module provides the batched equivalents:
+The straightforward detectors — rule-by-rule ``re.search`` loops, a fresh
+wasm decode per lookup, a full DOM build per page — spend the entire wall
+clock at paper scale (138M domains). This module provides the batched
+implementations production runs:
 
 - :class:`CompiledFilterSet` — a whole :class:`~repro.core.nocoin.FilterList`
   compiled into one alternation regex-set (plus an :class:`AhoCorasick`
@@ -13,13 +13,13 @@ clock. This module provides the batched equivalents:
   handling) is unchanged;
 - :class:`WasmCache` — a bounded content-hash LRU memoizing module
   decodes, function-body extraction, and the three signature digests,
-  shared across a shard (one instance per worker process);
-- the module-level ``--fastpath`` switch threaded through the CLI.
+  one instance per process (shared by thread-mode shards).
 
-Everything here is an *equivalence-preserving* rewrite: for any input,
-the fast path must return byte-identical results to the reference path.
-``tests/test_fastpath_differential.py`` enforces that with generated
-rules, URLs, inline text, and whole campaigns.
+Everything here is an *equivalence-preserving* rewrite: for any input it
+must return byte-identical results to the straightforward reference
+implementations, which live on as test oracles in ``tests/oracles/``.
+``tests/test_fastpath_differential.py`` fuzzes production against them
+with generated rules, URLs, inline text, and whole campaigns.
 
 Correctness of the combined automaton rests on one observation: a
 Python alternation match is found at the leftmost position ``p`` where
@@ -36,41 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.wasm.decoder import WasmDecodeError, decode_module, function_body_bytes
-
-# --------------------------------------------------------------------------
-# The switch. Default on; ``--no-fastpath`` selects the reference paths.
-# --------------------------------------------------------------------------
-
-_enabled = True
-
-
-def enabled() -> bool:
-    """Whether the optimized paths are active (the ``--fastpath`` flag)."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextmanager
-def configure(value: bool):
-    """Temporarily force the fast paths on/off (tests, twin runs)."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(value)
-    try:
-        yield
-    finally:
-        _enabled = previous
-
 
 # --------------------------------------------------------------------------
 # Aho-Corasick literal automaton
@@ -461,9 +432,10 @@ class CacheStats:
     """Hit/miss/eviction tallies with the registry merge law.
 
     Kept *off* the campaign's :class:`~repro.obs.metrics.MetricsRegistry`
-    on purpose: fastpath and reference runs must produce byte-identical
-    metrics, so cache telemetry lives beside the cache and merges across
-    shards on its own.
+    on purpose: hit counts depend on the executor and shard layout (one
+    cache per process, shared by threads), so registering them would break
+    ``metrics.json``'s byte-identity across executor modes. Cache
+    telemetry lives beside the cache and merges across shards on its own.
     """
 
     hits: int = 0
@@ -503,6 +475,10 @@ class WasmCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict = OrderedDict()
+        # Guards the LRU order and the stats: thread-mode shards share one
+        # cache, and an eviction between get() and move_to_end() would
+        # raise KeyError.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -522,15 +498,21 @@ class WasmCache:
         return entry, False
 
     def _field(self, wasm_bytes: bytes, name: str, compute):
-        entry, existed = self._entry(wasm_bytes)
-        error = entry.get(name + "_error")
+        # The lock covers the bookkeeping only: ``compute`` may re-enter
+        # the cache (a signature needs the bodies), and racing threads
+        # that both miss just store the same deterministic value twice.
+        with self._lock:
+            entry, existed = self._entry(wasm_bytes)
+            error = entry.get(name + "_error")
+            hit = error is not None or (existed and name in entry)
+            if hit:
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
         if error is not None:
-            self.stats.hits += 1
             raise WasmDecodeError(error)
-        if existed and name in entry:
-            self.stats.hits += 1
+        if hit:
             return entry[name]
-        self.stats.misses += 1
         if name not in entry:
             try:
                 entry[name] = compute(entry)
@@ -582,8 +564,8 @@ class WasmCache:
         )
 
 
-#: One cache per process — in the sharded executors that means one per
-#: shard worker, exactly the sharing scope the memo is meant for.
+#: One cache per process: thread-mode shards all share it (hence the lock
+#: in :class:`WasmCache`); process-mode workers each get their own.
 _shared_cache = WasmCache()
 
 

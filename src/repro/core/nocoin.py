@@ -87,23 +87,19 @@ class CompiledRule:
     def matches_url(self, url: str) -> bool:
         return bool(self.matcher.search(url))
 
-    def matches_text(self, text: str, lowered: Optional[str] = None) -> bool:
-        # inline text has no scheme; strip the URL anchor for text scans.
-        # ``lowered`` lets list-level scans lower the document once
-        # instead of once per rule.
-        if self.rule.domain_anchor:
-            if lowered is None:
-                lowered = text.lower()
-            return self.rule.pattern.split("^")[0].lower() in lowered
-        return bool(self.matcher.search(text))
-
     def find_url(self, url: str) -> Optional[str]:
         """The matched URL span, or None — the explainable ``matches_url``."""
         found = self.matcher.search(url)
         return found.group(0) if found is not None else None
 
     def find_text(self, text: str, lowered: Optional[str] = None) -> Optional[str]:
-        """The matched text span, or None — the explainable ``matches_text``."""
+        """The matched span in inline text, or None.
+
+        Inline text has no scheme, so domain-anchored rules drop the URL
+        anchor and test lowercase containment of their pre-``^`` host;
+        ``lowered`` lets list-level scans lower the document once instead
+        of once per rule.
+        """
         if self.rule.domain_anchor:
             needle = self.rule.pattern.split("^")[0].lower()
             if lowered is None:
@@ -242,32 +238,17 @@ class FilterList:
         script-src URLs, which is exactly the resource type those rules
         target.
         """
-        if fastpath.enabled():
-            found = self._fast().find_url(url)
-            if found is None:
-                return None
-            if self._fast().any_exception_url(url):
-                return None
-            return found[0].rule
-        for compiled in self._compiled:
-            if compiled.matches_url(url):
-                if any(exc.matches_url(url) for exc in self._exceptions):
-                    return None
-                return compiled.rule
-        return None
+        found = self._fast().find_url(url)
+        if found is None or self._fast().any_exception_url(url):
+            return None
+        return found[0].rule
 
     def match_text(self, text: str) -> Optional[FilterRule]:
         """First rule whose pattern occurs in inline script text, or None."""
         if not text:
             return None
-        if fastpath.enabled():
-            found = self._fast().find_text(text)
-            return found[0].rule if found is not None else None
-        lowered = text.lower()
-        for compiled in self._compiled:
-            if compiled.matches_text(text, lowered):
-                return compiled.rule
-        return None
+        found = self._fast().find_text(text)
+        return found[0].rule if found is not None else None
 
     def match_scripts(self, scripts) -> list:
         """Match ``(src, inline)`` script pairs; returns matching rules."""
@@ -286,48 +267,24 @@ class FilterList:
 
     def explain_url(self, url: str) -> Optional[FilterMatch]:
         """Like :meth:`match_url`, but returns the rule *and* matched span."""
-        if fastpath.enabled():
-            found = self._fast().find_url(url)
-            if found is None:
-                return None
-            if self._fast().any_exception_url(url):
-                return None
-            compiled, matched = found
-            return FilterMatch(
-                rule=compiled.rule, where="url", subject=url, matched=matched
-            )
-        for compiled in self._compiled:
-            matched = compiled.find_url(url)
-            if matched is not None:
-                if any(exc.matches_url(url) for exc in self._exceptions):
-                    return None
-                return FilterMatch(
-                    rule=compiled.rule, where="url", subject=url, matched=matched
-                )
-        return None
+        found = self._fast().find_url(url)
+        if found is None or self._fast().any_exception_url(url):
+            return None
+        compiled, matched = found
+        return FilterMatch(rule=compiled.rule, where="url", subject=url, matched=matched)
 
     def explain_text(self, text: str) -> Optional[FilterMatch]:
         """Like :meth:`match_text`, but returns the rule and matched span."""
         if not text:
             return None
-        if fastpath.enabled():
-            found = self._fast().find_text(text)
-            if found is None:
-                return None
-            compiled, matched = found
-            subject = text if len(text) <= 120 else text[:117] + "..."
-            return FilterMatch(
-                rule=compiled.rule, where="text", subject=subject, matched=matched
-            )
-        lowered = text.lower()
-        for compiled in self._compiled:
-            matched = compiled.find_text(text, lowered)
-            if matched is not None:
-                subject = text if len(text) <= 120 else text[:117] + "..."
-                return FilterMatch(
-                    rule=compiled.rule, where="text", subject=subject, matched=matched
-                )
-        return None
+        found = self._fast().find_text(text)
+        if found is None:
+            return None
+        compiled, matched = found
+        subject = text if len(text) <= 120 else text[:117] + "..."
+        return FilterMatch(
+            rule=compiled.rule, where="text", subject=subject, matched=matched
+        )
 
     def explain_scripts(self, scripts) -> list:
         """Explained variant of :meth:`match_scripts`: one

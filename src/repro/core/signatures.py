@@ -23,8 +23,9 @@ from repro.wasm.decoder import WasmDecodeError, function_body_bytes
 
 def digest_bodies(bodies) -> str:
     """SHA-256 over length-prefixed function bodies — the digest both the
-    ordered and unordered signatures (and their memoized fastpath
-    variants) are defined in terms of."""
+    ordered and unordered signatures (and their memoized
+    :class:`~repro.core.fastpath.WasmCache` variants) are defined in terms
+    of."""
     digest = hashlib.sha256()
     for body in bodies:
         digest.update(len(body).to_bytes(4, "little"))
@@ -105,10 +106,7 @@ class SignatureDatabase:
     def lookup(self, wasm_bytes: bytes) -> Optional[SignatureRecord]:
         """Find the record for a captured module, or None if unknown."""
         try:
-            if fastpath.enabled():
-                signature = fastpath.shared_cache().ordered_signature(wasm_bytes)
-            else:
-                signature = wasm_signature(wasm_bytes)
+            signature = fastpath.shared_cache().ordered_signature(wasm_bytes)
         except WasmDecodeError:
             return None
         return self.records.get(signature)

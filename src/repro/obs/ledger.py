@@ -52,8 +52,10 @@ COMPLETE_MARKER = "COMPLETE"
 #: Campaign parameters that select an execution *strategy* rather than a
 #: workload. Two runs that differ only here are still comparable in
 #: ``repro obs diff`` — that is the whole point of diffing (e.g. a heavy
-#: fault profile against a clean baseline, 8 shards against 1, or the
-#: fastpath automatons against the rule-by-rule reference detectors).
+#: fault profile against a clean baseline, or 8 shards against 1).
+#: ``fastpath`` names no current option: manifests written while the
+#: detection hot paths had a runtime switch carry the key, and keeping it
+#: here leaves those run directories comparable with new ones.
 EXECUTION_PARAMS = frozenset(
     {
         "shards",

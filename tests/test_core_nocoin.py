@@ -175,7 +175,9 @@ class TestTextCaseHandling:
         assert match.where == "text"
 
     def test_text_lowered_exactly_once_per_scan(self):
-        from repro.core import fastpath
+        from contextlib import nullcontext
+
+        from tests.oracles import reference_paths
 
         class CountingStr(str):
             def lower(self):
@@ -183,8 +185,9 @@ class TestTextCaseHandling:
                 return str.lower(self)
 
         nocoin = default_nocoin_list()
-        for mode in (True, False):  # automaton and rule-by-rule reference
+        # automaton and rule-by-rule reference oracle
+        for mode, paths in (("production", nullcontext), ("reference", reference_paths)):
             lower_calls = []
-            with fastpath.configure(mode):
+            with paths():
                 nocoin.match_text(CountingStr("no miners in THIS inline block"))
             assert sum(lower_calls) == 1, mode

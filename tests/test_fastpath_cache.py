@@ -12,9 +12,15 @@ answer is. Three laws are enforced here:
   merge law as the obs :class:`~repro.obs.metrics.MetricsRegistry`
   (associative, commutative, counter-additive), so shard stats can be
   summed like any other campaign counter.
+
+Thread-mode shards share one process-wide cache, so it must also survive
+concurrent lookups and evictions without losing a tally.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +145,45 @@ class TestBoundedness:
             WasmCache(capacity=-3)
 
 
+class TestThreadSafety:
+    def test_concurrent_lookups_under_constant_eviction(self):
+        # capacity 1 over six modules: nearly every lookup evicts, so an
+        # unguarded LRU lets another thread evict a key between get() and
+        # move_to_end() and the lookup dies with KeyError
+        lookups = []  # list.append is atomic; one entry per cached-field access
+
+        class CountingCache(WasmCache):
+            def _field(self, wasm_bytes, name, compute):
+                lookups.append(name)
+                return super()._field(wasm_bytes, name, compute)
+
+        cache = CountingCache(capacity=1)
+        expected = {wasm: wasm_signature(wasm) for wasm in _CORPUS}
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(3000):
+                    wasm = _CORPUS[(offset + i) % len(_CORPUS)]
+                    assert cache.ordered_signature(wasm) == expected[wasm]
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert cache.stats.hits + cache.stats.misses == len(lookups)
+        assert len(cache) == 1
+
+
 _tallies = st.builds(
     CacheStats,
     hits=st.integers(min_value=0, max_value=10**6),
@@ -203,16 +248,15 @@ class TestSharedCache:
     def test_shared_cache_backs_signature_lookup(self):
         fastpath.reset_shared_cache()
         try:
-            with fastpath.configure(True):
-                from repro.core.signatures import build_reference_database
+            from repro.core.signatures import build_reference_database
 
-                db = build_reference_database()
-                wasm = _CORPUS[0]
-                hit = db.lookup(wasm)
-                assert hit is not None and hit.family == "coinhive"
-                assert fastpath.shared_cache().stats.misses > 0
-                before = fastpath.shared_cache().stats.hits
-                assert db.lookup(wasm) == hit
-                assert fastpath.shared_cache().stats.hits > before
+            db = build_reference_database()
+            wasm = _CORPUS[0]
+            hit = db.lookup(wasm)
+            assert hit is not None and hit.family == "coinhive"
+            assert fastpath.shared_cache().stats.misses > 0
+            before = fastpath.shared_cache().stats.hits
+            assert db.lookup(wasm) == hit
+            assert fastpath.shared_cache().stats.hits > before
         finally:
             fastpath.reset_shared_cache()

@@ -1,9 +1,10 @@
-"""Differential battery: fastpath vs reference must be byte-identical.
+"""Differential battery: production vs reference oracles must be byte-identical.
 
-The optimized paths in :mod:`repro.core.fastpath` (combined filter-list
-automaton, wasm memo cache, single-pass script scanner) exist only under
-the contract that they change *nothing observable*. This suite enforces
-the contract three ways:
+The production hot paths in :mod:`repro.core.fastpath` (combined
+filter-list automaton, wasm memo cache) and the single-pass script scanner
+exist only under the contract that they change *nothing observable*
+relative to the straightforward implementations kept in
+:mod:`tests.oracles`. This suite enforces the contract three ways:
 
 1. Hypothesis-generated filter rules (plain, ``||`` anchored, ``/regex/``,
    ``@@`` exceptions, ``$options``) crossed with generated URLs and inline
@@ -12,9 +13,10 @@ the contract three ways:
    identity, same ``where``, same matched span.
 2. Generated/adversarial HTML: :func:`~repro.web.html.scan_scripts` must
    equal :func:`~repro.web.html.extract_scripts` exactly.
-3. Same-seed campaigns run with fastpath on and off must produce
-   byte-identical ``verdicts.jsonl`` payloads and identical metric
-   registries (counters *and* tick-clock histograms).
+3. Same-seed campaigns run in production and under
+   :func:`~tests.oracles.reference_paths` must produce byte-identical
+   ``verdicts.jsonl`` payloads and identical metric registries (counters
+   *and* tick-clock histograms).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.obs.clock import TickClock, use_clock
 from repro.obs.evidence import verdicts_to_jsonl
 from repro.obs.profile import make_obs
 from repro.web.html import extract_scripts, scan_scripts
+from tests.oracles import reference_paths
 
 # ---------------------------------------------------------------------------
 # rule / subject strategies — deliberately tiny alphabets so patterns and
@@ -108,18 +111,16 @@ _texts = st.text(alphabet="aAbBcCoO .-/*^<>ſKİςΣ", max_size=40)
 
 
 def _assert_url_equivalent(filter_list: FilterList, url: str) -> None:
-    with fastpath.configure(False):
+    with reference_paths():
         reference = (filter_list.match_url(url), filter_list.explain_url(url))
-    with fastpath.configure(True):
-        fast = (filter_list.match_url(url), filter_list.explain_url(url))
+    fast = (filter_list.match_url(url), filter_list.explain_url(url))
     assert fast == reference, (url, fast, reference)
 
 
 def _assert_text_equivalent(filter_list: FilterList, text: str) -> None:
-    with fastpath.configure(False):
+    with reference_paths():
         reference = (filter_list.match_text(text), filter_list.explain_text(text))
-    with fastpath.configure(True):
-        fast = (filter_list.match_text(text), filter_list.explain_text(text))
+    fast = (filter_list.match_text(text), filter_list.explain_text(text))
     assert fast == reference, (text, fast, reference)
 
 
@@ -142,16 +143,15 @@ class TestFilterDifferential:
         ),
     )
     def test_generated_script_batches(self, filter_list, scripts):
-        with fastpath.configure(False):
+        with reference_paths():
             reference = (
                 filter_list.match_scripts(scripts),
                 filter_list.explain_scripts(scripts),
             )
-        with fastpath.configure(True):
-            fast = (
-                filter_list.match_scripts(scripts),
-                filter_list.explain_scripts(scripts),
-            )
+        fast = (
+            filter_list.match_scripts(scripts),
+            filter_list.explain_scripts(scripts),
+        )
         assert fast == reference
 
     @settings(max_examples=100, deadline=None)
@@ -161,7 +161,7 @@ class TestFilterDifferential:
         _assert_text_equivalent(default_nocoin_list(), text)
 
     def test_urls_built_from_rule_patterns_hit(self):
-        # determinstic hot cases: every default rule fired through both paths
+        # deterministic hot cases: every default rule fired through both paths
         filter_list = default_nocoin_list()
         for rule in filter_list.rules:
             needle = rule.pattern.split("^")[0] if rule.regex is None else "cryptonight.wasm"
@@ -191,8 +191,7 @@ class TestFilterDifferential:
         # the reference returns rule 0 — the automaton must too, even
         # though the combined regex finds rule 1's match first
         filter_list = FilterList.from_lines(["tail-bit", "http"], source="gen")
-        with fastpath.configure(True):
-            hit = filter_list.match_url("http://x.co/tail-bit")
+        hit = filter_list.match_url("http://x.co/tail-bit")
         assert hit is filter_list.rules[0]
         _assert_url_equivalent(filter_list, "http://x.co/tail-bit")
 
@@ -217,8 +216,7 @@ class TestFilterDifferential:
         filter_list.warm()
         filter_list.add(parse_rule("||late.co^"))
         _assert_url_equivalent(filter_list, "https://late.co/x.js")
-        with fastpath.configure(True):
-            assert filter_list.match_url("https://late.co/x.js") is not None
+        assert filter_list.match_url("https://late.co/x.js") is not None
 
 
 class TestAhoCorasick:
@@ -271,20 +269,19 @@ class TestScannerDifferential:
     )
     def test_static_detection_identical(self, html):
         detector = PageDetector(collect_evidence=True)
-        with fastpath.configure(False):
+        with reference_paths():
             reference = detector.detect_static("site.example", html)
-        with fastpath.configure(True):
-            fast = detector.detect_static("site.example", html)
+        fast = detector.detect_static("site.example", html)
         assert fast == reference
 
 
 # ---------------------------------------------------------------------------
-# whole campaigns: byte-identical verdicts and metrics across the flag
+# whole campaigns: byte-identical verdicts and metrics, production vs oracles
 # ---------------------------------------------------------------------------
 
 
-def _materialized_campaign(enabled: bool):
-    with fastpath.configure(enabled), use_clock(TickClock()):
+def _materialized_campaign():
+    with use_clock(TickClock()):
         fastpath.reset_shared_cache()
         population = build_population("alexa", seed=11, scale=0.05)
         obs = make_obs(prefix="crawl")
@@ -295,8 +292,8 @@ def _materialized_campaign(enabled: bool):
         return verdicts_to_jsonl(verdicts), obs.registry.to_dict()
 
 
-def _streaming_campaign(enabled: bool):
-    with fastpath.configure(enabled), use_clock(TickClock()):
+def _streaming_campaign():
+    with use_clock(TickClock()):
         fastpath.reset_shared_cache()
         population = StreamingPopulation(
             "com", seed=11, size=20_000, sample_per_stratum=100
@@ -313,15 +310,17 @@ def _streaming_campaign(enabled: bool):
 
 class TestCampaignByteIdentity:
     def test_same_seed_campaign_verdicts_and_metrics(self):
-        fast_verdicts, fast_metrics = _materialized_campaign(True)
-        ref_verdicts, ref_metrics = _materialized_campaign(False)
+        fast_verdicts, fast_metrics = _materialized_campaign()
+        with reference_paths():
+            ref_verdicts, ref_metrics = _materialized_campaign()
         assert fast_verdicts.encode() == ref_verdicts.encode()
         assert fast_metrics == ref_metrics
         assert fast_verdicts.count("\n") > 1  # non-degenerate run
 
     def test_streaming_campaign_verdicts_and_counters(self):
-        fast_verdicts, fast_metrics = _streaming_campaign(True)
-        ref_verdicts, ref_metrics = _streaming_campaign(False)
+        fast_verdicts, fast_metrics = _streaming_campaign()
+        with reference_paths():
+            ref_verdicts, ref_metrics = _streaming_campaign()
         assert fast_verdicts.encode() == ref_verdicts.encode()
         assert fast_metrics == ref_metrics
 

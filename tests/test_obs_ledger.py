@@ -84,6 +84,20 @@ class TestManifest:
                      fault_profile="heavy", heartbeat=2.0)
         assert RunManifest.build("crawl", heavy, git_describe="g").identity() == identity
 
+    def test_legacy_fastpath_param_keeps_runs_comparable(self, tmp_path):
+        # Manifests written while the hot paths had a runtime switch carry
+        # a "fastpath" param; new manifests have none.
+        legacy = RunManifest.build("crawl", dict(PARAMS, fastpath=False), git_describe="g")
+        current = RunManifest.build("crawl", PARAMS, git_describe="g")
+        assert legacy.identity() == current.identity()
+        assert legacy.run_id != current.run_id
+
+        from repro.cli import main
+
+        for name, manifest in (("legacy", legacy), ("current", current)):
+            write_run(tmp_path / name, manifest, _registry(), _spans(), FaultLedger())
+        assert main(["obs", "diff", str(tmp_path / "legacy"), str(tmp_path / "current")]) == 0
+
     def test_identity_differs_on_workload_params(self):
         base = RunManifest.build("crawl", PARAMS, git_describe="g")
         other = RunManifest.build("crawl", dict(PARAMS, seed=8), git_describe="g")
