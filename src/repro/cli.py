@@ -843,6 +843,25 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_gates(expressions, head, base=None) -> int:
+    """Print each ``--fail-on`` verdict: exit 0 ok, 1 violated, 2 bad expression."""
+    from repro.obs import gates
+
+    violations = 0
+    for expression in expressions or []:
+        try:
+            verdict = gates.evaluate(gates.parse(expression), head, base)
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
+        print(verdict.detail)
+        violations += verdict.violated
+    if violations:
+        print(f"{violations} threshold(s) violated")
+        return 1
+    return 0
+
+
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs import analyze
@@ -915,21 +934,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     if diff.vanished_error_classes:
         print(f"vanished error classes: {', '.join(diff.vanished_error_classes)}")
 
-    violations = 0
-    for expression in args.fail_on or []:
-        try:
-            threshold = analyze.parse_fail_on(expression)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        violated, detail = analyze.evaluate_threshold(threshold, base.registry, head.registry)
-        print(detail)
-        if violated:
-            violations += 1
-    if violations:
-        print(f"{violations} threshold(s) violated")
-        return 1
-    return 0
+    return _run_gates(args.fail_on, head.registry, base.registry)
 
 
 def _cmd_obs_explain(args: argparse.Namespace) -> int:
@@ -1132,8 +1137,8 @@ def _cmd_obs_graph_clusters(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_graph_query(args: argparse.Namespace) -> int:
-    from repro.obs import analyze
-    from repro.graph.query import evaluate_graph_threshold, graph_metrics
+    from repro.graph.query import graph_metrics
+    from repro.obs.gates import ClosedView
 
     artifacts = _load_run_graph(args)
     if artifacts is None:
@@ -1142,26 +1147,13 @@ def _cmd_obs_graph_query(args: argparse.Namespace) -> int:
     for name in sorted(metrics):
         value = metrics[name]
         print(f"{name} = {value:g}")
-    violations = 0
-    for expression in args.fail_on or []:
-        try:
-            threshold = analyze.parse_fail_on(expression)
-            violated, detail = evaluate_graph_threshold(threshold, metrics)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        print(detail)
-        if violated:
-            violations += 1
-    if violations:
-        print(f"{violations} threshold(s) violated")
-        return 1
-    return 0
+    return _run_gates(args.fail_on, ClosedView(metrics, "graph"))
 
 
 def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
-    from repro.obs import analyze, scorecard
+    from repro.obs import scorecard
+    from repro.obs.gates import ClosedView
     from repro.obs.ledger import TornRunError, load_run
 
     try:
@@ -1190,27 +1182,13 @@ def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
                 title="\nper-includer-cluster detection",
             )
         )
-    violations = 0
-    for expression in args.fail_on or []:
-        try:
-            threshold = analyze.parse_fail_on(expression)
-            violated, detail = scorecard.evaluate_scorecard_threshold(threshold, card)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        print(detail)
-        if violated:
-            violations += 1
-    if violations:
-        print(f"{violations} threshold(s) violated")
-        return 1
-    return 0
+    return _run_gates(args.fail_on, ClosedView(card.metrics(), "scorecard"))
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs.ledger import TornRunError, load_run
-    from repro.service.slo import evaluate_slo, parse_slo, slo_summary_rows
+    from repro.service.slo import slo_summary_rows
 
     try:
         artifacts = load_run(args.run, allow_torn=args.allow_torn)
@@ -1225,21 +1203,7 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
         )
         return 1
     print(render_table(["metric", "value"], slo_summary_rows(registry), title="service SLOs"))
-    violations = 0
-    for expression in args.fail_on or []:
-        try:
-            threshold = parse_slo(expression)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-        violated, detail = evaluate_slo(threshold, registry)
-        print(detail)
-        if violated:
-            violations += 1
-    if violations:
-        print(f"{violations} SLO(s) violated")
-        return 1
-    return 0
+    return _run_gates(args.fail_on, registry)
 
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -1335,9 +1299,11 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def _render_top(series, window_ticks: int, limit: int) -> str:
-    from repro.obs.alerts import windowed_value, worst_tier
+    from repro.obs.alerts import worst_tier
+    from repro.obs.gates import WindowView
 
     records = series.records[-max(1, window_ticks):]
+    window = WindowView(records, series.interval)
     span = max(len(records) * series.interval, series.interval)
     latest = series.records[-1]
     lines = [
@@ -1347,10 +1313,10 @@ def _render_top(series, window_ticks: int, limit: int) -> str:
     if any("service.requests.offered" in record.counters for record in records):
         lines.append(
             "service: "
-            f"offered={windowed_value('service.requests.offered', records, series.interval):.1f}/s "
-            f"shed={windowed_value('shed_rate', records, series.interval):.1%} "
-            f"p50={windowed_value('p50', records, series.interval) * 1000:.0f}ms "
-            f"p99={windowed_value('p99', records, series.interval) * 1000:.0f}ms "
+            f"offered={window.value('service.requests.offered'):.1f}/s "
+            f"shed={window.value('shed_rate'):.1%} "
+            f"p50={window.value('p50') * 1000:.0f}ms "
+            f"p99={window.value('p99') * 1000:.0f}ms "
             f"tier={worst_tier(records)}"
         )
     firing_state: dict = {}

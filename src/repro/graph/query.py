@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.graph.model import Graph, NODE_KINDS, node_kind
-from repro.obs.analyze import _OPS, Threshold
 
 #: Edge kinds that define campaign membership: shared includer scripts and
 #: shared family attribution (via domains, signatures, pools). ``includes``
@@ -253,7 +252,7 @@ def clusters(graph: Graph) -> List[Cluster]:
 
 
 # ---------------------------------------------------------------------------
-# metrics + gates
+# metrics
 
 
 def graph_metrics(graph: Graph) -> dict:
@@ -277,25 +276,3 @@ def graph_metrics(graph: Graph) -> dict:
     metrics["clusters.min_detection_factor"] = min(with_wasm, default=0.0)
     metrics["clusters.max_detection_factor"] = max(with_wasm, default=0.0)
     return metrics
-
-
-def evaluate_graph_threshold(threshold: Threshold, metrics: dict):
-    """(violated, detail) for one ``--fail-on`` gate on graph metrics."""
-    if threshold.relative:
-        raise ValueError(
-            f"graph gates are absolute; drop the trailing 'x' in "
-            f"{threshold.raw!r} (there is no base run to be relative to)"
-        )
-    target = threshold.metric if threshold.stat is None else (
-        f"{threshold.metric}.{threshold.stat}"
-    )
-    if target not in metrics:
-        available = ", ".join(sorted(metrics))
-        raise ValueError(f"unknown graph metric {target!r}; available: {available}")
-    measured = metrics[target]
-    violated = _OPS[threshold.op](measured, threshold.value)
-    detail = (
-        f"{threshold.raw}: measured {measured:.4g} — "
-        f"{'VIOLATED' if violated else 'ok'}"
-    )
-    return violated, detail

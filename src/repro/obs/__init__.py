@@ -15,7 +15,9 @@ The three legs of production-scale campaign accounting:
 - :mod:`repro.obs.ledger` — persisted run directories (``--run-dir``):
   manifest, metrics, trace, profile, fault ledger, atomic ``COMPLETE``,
 - :mod:`repro.obs.analyze` — critical-path attribution, Chrome-trace
-  export, and cross-run diffing with ``--fail-on`` regression gates,
+  export, and cross-run diffing,
+- :mod:`repro.obs.gates` — the one ``--fail-on`` / alert-rule gate
+  language: grammar, target resolution, and the pass/fail decision,
 - :mod:`repro.obs.heartbeat` — live campaign progress snapshots
   (``--heartbeat``), exactly reproducible under ``TickClock``.
 """
@@ -25,9 +27,9 @@ from repro.obs.alerts import (
     AlertRule,
     AlertRuleSet,
     default_service_rules,
-    windowed_value,
 )
 from repro.obs.clock import PerfClock, TickClock, get_clock, set_clock, use_clock
+from repro.obs.gates import Gate, Verdict
 from repro.obs.heartbeat import ProgressReporter
 from repro.obs.ledger import (
     OBS_SCHEMA_VERSION,
@@ -74,6 +76,7 @@ __all__ = [
     "AlertRule",
     "AlertRuleSet",
     "DEFAULT_BOUNDS",
+    "Gate",
     "Histogram",
     "HistogramWindow",
     "MetricsRegistry",
@@ -96,6 +99,7 @@ __all__ = [
     "TornRunError",
     "TraceSchemaError",
     "Tracer",
+    "Verdict",
     "default_service_rules",
     "get_clock",
     "load_run",
@@ -111,7 +115,6 @@ __all__ = [
     "set_clock",
     "spans_to_jsonl",
     "use_clock",
-    "windowed_value",
     "write_run",
     "write_timeseries_jsonl",
 ]

@@ -11,18 +11,10 @@ recorded as structured :class:`AlertEvent`\\ s — evidence-style objects
 citing each window's length, the observed value, the threshold, and the
 degradation tier in force — and persist inside ``timeseries.jsonl``.
 
-Target resolution mirrors ``repro.service.slo`` but over window deltas:
-
-1. latency shorthands (``p50``/``p90``/``p95``/``p99``/``mean``/``max``)
-   read the windowed ``service.latency`` histogram,
-2. derived rates (``shed_rate``, ``error_rate``, ``degraded_rate``,
-   ``deadline_rate``) are ratios of windowed counter deltas,
-3. ``<histogram>.<stat>`` reads any windowed histogram,
-4. anything else is a counter, resolved as a per-second rate over the
-   window — the counters→rates half of the recorder contract.
-
-Rules are evaluated only once their longest window is fully populated
-with ticks, so a 15-second budget never fires off 2 seconds of data.
+:mod:`repro.obs.gates` parses each expression and resolves it over a
+window (a :class:`~repro.obs.gates.WindowView`). Rules are evaluated
+only once their longest window is fully populated with ticks, so a
+15-second budget never fires off 2 seconds of data.
 """
 
 from __future__ import annotations
@@ -30,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs import analyze
-
-_LATENCY_SHORTHANDS = ("mean", "max", "p50", "p90", "p95", "p99")
-_HISTOGRAM_STATS = ("mean", "max", "total", "count", "p50", "p90", "p95", "p99")
+from repro.obs import gates
 
 #: Degradation tiers, most degraded first — mirrors (and is pinned
 #: against) ``repro.core.detector.DEGRADATION_TIERS``; duplicated here so
@@ -43,43 +32,29 @@ TIER_SEVERITY = ("static-only", "no-classifier", "no-dynamic", "full")
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One burn-rate rule: a threshold that must hold in every window."""
+    """One burn-rate rule: a gate that must hold in every window."""
 
     name: str
-    target: str
-    op: str
-    value: float
+    gate: gates.Gate
     #: trailing window lengths in seconds, shortest first
     windows: tuple
 
     @classmethod
     def parse(cls, name: str, expression: str, windows: Iterable[float]) -> "AlertRule":
-        match = analyze._EXPR_RE.match(expression)
-        if match is None:
-            raise ValueError(
-                f"bad alert expression {expression!r}; expected "
-                f"'<target><op><number>', e.g. 'shed_rate>0.2' or 'p99>1.0'"
-            )
-        if match["relative"] == "x":
-            raise ValueError(
-                f"alert rules are absolute; drop the trailing 'x' in {expression!r}"
-            )
+        gate = gates.parse(expression)
+        # an alert has no base run: rejects a relative gate up front, with
+        # the same error every command gives
+        gates.evaluate(gate, gates.WindowView((), 1.0))
         windows = tuple(sorted(float(w) for w in windows))
         if not windows:
             raise ValueError(f"alert rule {name!r} needs at least one window")
         if any(w <= 0 for w in windows):
             raise ValueError(f"alert windows must be positive, got {windows}")
-        return cls(
-            name=name,
-            target=match["target"],
-            op=match["op"],
-            value=float(match["value"]),
-            windows=windows,
-        )
+        return cls(name=name, gate=gate, windows=windows)
 
     @property
     def expr(self) -> str:
-        return f"{self.target}{self.op}{self.value:g}"
+        return f"{self.gate.target}{self.gate.op}{self.gate.value:g}"
 
 
 @dataclass(frozen=True)
@@ -133,100 +108,11 @@ class AlertEvent:
         )
 
 
-# ---------------------------------------------------------------------------
-# windowed target resolution
-
-
-def _window_sum(records, name: str) -> int:
-    return sum(record.counters.get(name, 0) for record in records)
-
-
-def _window_prefix_sum(records, prefix: str) -> int:
-    return sum(
-        delta
-        for record in records
-        for name, delta in record.counters.items()
-        if name.startswith(prefix)
-    )
-
-
-def _window_histogram(records, name: str):
-    merged = None
-    for record in records:
-        window = record.histograms.get(name)
-        if window is None:
-            continue
-        merged = window.copy() if merged is None else merged.merge(window)
-    return merged
-
-
-def _histogram_stat(window, stat: str) -> float:
-    if window is None:
-        return 0.0
-    if stat == "mean":
-        return window.mean_seconds
-    if stat == "max":
-        return window.quantile(1.0)
-    if stat == "total":
-        return window.total_ns / 1e9
-    if stat == "count":
-        return float(window.count)
-    return window.quantile(float(stat[1:]) / 100.0)
-
-
-def _window_ratio(records, numerator: int, denominator_name: str) -> float:
-    return numerator / max(1, _window_sum(records, denominator_name))
-
-
-def _derived_rate(records, target: str):
-    if target == "shed_rate":
-        rejected = (
-            _window_sum(records, "service.rejected.rate_limit")
-            + _window_sum(records, "service.rejected.queue_full")
-            + _window_sum(records, "service.rejected.deadline")
-        )
-        return _window_ratio(records, rejected, "service.requests.offered")
-    if target == "deadline_rate":
-        return _window_ratio(
-            records,
-            _window_sum(records, "service.rejected.deadline"),
-            "service.requests.offered",
-        )
-    if target == "error_rate":
-        return _window_ratio(
-            records,
-            _window_sum(records, "service.fetch.errors"),
-            "service.requests.completed",
-        )
-    if target == "degraded_rate":
-        return _window_ratio(
-            records,
-            _window_prefix_sum(records, "service.degraded."),
-            "service.requests.completed",
-        )
-    return None
-
-
-def windowed_value(target: str, records, interval: float) -> float:
-    """Resolve one alert target over a trailing window of tick records."""
-    if target in _LATENCY_SHORTHANDS:
-        return _histogram_stat(_window_histogram(records, "service.latency"), target)
-    derived = _derived_rate(records, target)
-    if derived is not None:
-        return derived
-    prefix, _, stat = target.rpartition(".")
-    if prefix and stat in _HISTOGRAM_STATS:
-        window = _window_histogram(records, prefix)
-        if window is not None:
-            return _histogram_stat(window, stat)
-    seconds = max(len(records) * interval, interval)
-    return _window_sum(records, target) / seconds
-
-
 def worst_tier(records) -> str:
     """Most degraded tier with traffic in the window ('n/a' if none)."""
     for tier in TIER_SEVERITY:
-        if _window_sum(records, f"service.tier.{tier}"):
+        name = f"service.tier.{tier}"
+        if sum(record.counters.get(name, 0) for record in records):
             return tier
     return "n/a"
 
@@ -274,19 +160,24 @@ class AlertRuleSet:
                 if len(records) < k:
                     populated = False
                     break
-                observed = windowed_value(rule.target, records[-k:], interval)
-                readings.append((window_seconds, observed, rule.value, rule.op))
-                if not analyze._OPS[rule.op](observed, rule.value):
+                verdict = gates.evaluate(rule.gate, gates.WindowView(records[-k:], interval))
+                readings.append(
+                    (window_seconds, verdict.measured, rule.gate.value, rule.gate.op)
+                )
+                if not verdict.violated:
                     violated_all = False
                     break
             if firing.get(rule.name):
                 # resolve on short-window recovery: the condition no
                 # longer holds over the most recent window
                 short_k = self.ticks(rule.windows[0], interval)
-                observed = windowed_value(rule.target, records[-short_k:], interval)
-                if not analyze._OPS[rule.op](observed, rule.value):
+                verdict = gates.evaluate(
+                    rule.gate, gates.WindowView(records[-short_k:], interval)
+                )
+                if not verdict.violated:
                     firing[rule.name] = False
-                    reading = (rule.windows[0], observed, rule.value, rule.op)
+                    observed = verdict.measured
+                    reading = (rule.windows[0], observed, rule.gate.value, rule.gate.op)
                     events.append(
                         AlertEvent(
                             rule=rule.name,

@@ -14,14 +14,12 @@ arithmetic over the persisted artifacts:
   ``chrome://tracing`` / Perfetto render a sharded campaign as parallel
   lanes.
 - **Diff** — two runs compared counter-by-counter and stage-by-stage
-  (mean/p50/p90 shift), with ``--fail-on`` threshold expressions
-  (``stage.fetch.p90>1.2x``) turning the diff into a CI regression gate.
+  (mean/p50/p90 shift); ``obs diff --fail-on`` turns it into a CI
+  regression gate through :mod:`repro.obs.gates`.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -313,106 +311,3 @@ def diff_runs(base_registry: MetricsRegistry, head_registry: MetricsRegistry,
     diff.new_error_classes = sorted(head_classes - base_classes)
     diff.vanished_error_classes = sorted(base_classes - head_classes)
     return diff
-
-
-# ---------------------------------------------------------------------------
-# --fail-on threshold expressions
-
-
-_STAGE_STATS = ("mean", "p50", "p90", "max", "total", "count")
-_EXPR_RE = re.compile(
-    r"\s*(?P<target>[A-Za-z0-9_.\-]+?)\s*(?P<op>>=|<=|>|<)\s*"
-    r"(?P<value>\d+(?:\.\d+)?)(?P<relative>x?)\s*$"
-)
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """One parsed ``--fail-on`` expression."""
-
-    raw: str
-    metric: str               # histogram name ("stage.fetch") or counter name
-    stat: Optional[str]       # one of _STAGE_STATS for stage targets, else None
-    op: str
-    value: float
-    relative: bool            # trailing "x": head/base ratio, else absolute head
-
-
-def parse_fail_on(expression: str) -> Threshold:
-    """Parse ``stage.fetch.p90>1.2x`` / ``fault.observed.timeout<10``."""
-    match = _EXPR_RE.match(expression)
-    if match is None:
-        raise ValueError(
-            f"bad --fail-on expression {expression!r}; expected "
-            f"'<metric><op><number>[x]', e.g. 'stage.fetch.p90>1.2x'"
-        )
-    target = match["target"]
-    stat = None
-    if target.startswith("stage."):
-        prefix, _, leaf = target.rpartition(".")
-        if prefix == "stage" or leaf not in _STAGE_STATS:
-            raise ValueError(
-                f"stage targets need a stat suffix {_STAGE_STATS}, "
-                f"e.g. 'stage.fetch.p90' (got {target!r})"
-            )
-        target, stat = prefix, leaf
-    return Threshold(
-        raw=expression.strip(),
-        metric=target,
-        stat=stat,
-        op=match["op"],
-        value=float(match["value"]),
-        relative=match["relative"] == "x",
-    )
-
-
-def _metric_value(registry: MetricsRegistry, threshold: Threshold) -> float:
-    if threshold.stat is None:
-        return float(registry.counter(threshold.metric))
-    histogram = registry.histograms.get(threshold.metric)
-    if histogram is None:
-        return 0.0
-    if threshold.stat == "mean":
-        return histogram.mean_seconds
-    if threshold.stat == "p50":
-        return histogram.quantile(0.5)
-    if threshold.stat == "p90":
-        return histogram.quantile(0.9)
-    if threshold.stat == "max":
-        return histogram.max_seconds
-    if threshold.stat == "total":
-        return histogram.total_seconds
-    return float(histogram.count)
-
-
-_OPS = {
-    ">": lambda measured, value: measured > value,
-    ">=": lambda measured, value: measured >= value,
-    "<": lambda measured, value: measured < value,
-    "<=": lambda measured, value: measured <= value,
-}
-
-
-def evaluate_threshold(
-    threshold: Threshold,
-    base_registry: MetricsRegistry,
-    head_registry: MetricsRegistry,
-):
-    """(violated, human-readable detail) for one threshold."""
-    head = _metric_value(head_registry, threshold)
-    if threshold.relative:
-        base = _metric_value(base_registry, threshold)
-        if base == 0:
-            measured = math.inf if head > 0 else 1.0
-        else:
-            measured = head / base
-        unit = "x"
-    else:
-        measured = head
-        unit = ""
-    violated = _OPS[threshold.op](measured, threshold.value)
-    detail = (
-        f"{threshold.raw}: measured {measured:.4g}{unit} — "
-        f"{'VIOLATED' if violated else 'ok'}"
-    )
-    return violated, detail

@@ -9,10 +9,10 @@ a confusion matrix with precision/recall, plus the paper's headline
 detection factor (Table 2) recomputed from the verdicts themselves.
 
 Scores are deterministic: same run directory → same scorecard, rendered
-byte-identically. ``--fail-on 'detector.wasm.recall<0.95'`` expressions
-reuse the :mod:`repro.obs.analyze` threshold grammar (absolute values
-only — there is no base run to be relative to) and make the scorecard a
-CI gate on detection *quality*, alongside ``obs diff``'s gates on cost.
+byte-identically. ``--fail-on 'detector.wasm.recall<0.95'`` gates
+(:mod:`repro.obs.gates`, over :meth:`Scorecard.metrics`) make the
+scorecard a CI gate on detection *quality*, alongside ``obs diff``'s
+gates on cost.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.obs.analyze import Threshold, _OPS
 
 #: wasm cascade methods that get their own per-method recall row
 CASCADE_METHODS = ("signature", "name-hint", "instruction-mix", "backend")
@@ -306,31 +305,6 @@ def _cluster_scores(graph) -> list:
         for component in clusters(graph)
         if component.includers
     ]
-
-
-def evaluate_scorecard_threshold(threshold: Threshold, card: Scorecard):
-    """(violated, detail) for one ``--fail-on`` gate on a scorecard."""
-    if threshold.relative:
-        raise ValueError(
-            f"scorecard gates are absolute; drop the trailing 'x' in "
-            f"{threshold.raw!r} (there is no base run to be relative to)"
-        )
-    metrics = card.metrics()
-    target = threshold.metric if threshold.stat is None else (
-        f"{threshold.metric}.{threshold.stat}"
-    )
-    if target not in metrics:
-        available = ", ".join(sorted(metrics))
-        raise ValueError(
-            f"unknown scorecard metric {target!r}; available: {available}"
-        )
-    measured = metrics[target]
-    violated = _OPS[threshold.op](measured, threshold.value)
-    detail = (
-        f"{threshold.raw}: measured {measured:.4g} — "
-        f"{'VIOLATED' if violated else 'ok'}"
-    )
-    return violated, detail
 
 
 SCORECARD_HEADER = ["detector", "tp", "fp", "fn", "tn", "precision", "recall"]

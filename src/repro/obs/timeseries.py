@@ -122,6 +122,15 @@ class HistogramWindow:
     def mean_seconds(self) -> float:
         return (self.total_ns / self.count) / 1e9 if self.count else 0.0
 
+    @property
+    def total_seconds(self) -> float:
+        return self.total_ns / 1e9
+
+    @property
+    def max_seconds(self) -> float:
+        """The covering bucket's bound: a window has no exact max."""
+        return self.quantile(1.0)
+
     def quantile(self, q: float) -> float:
         if not self.count:
             return 0.0

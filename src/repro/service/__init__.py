@@ -11,7 +11,8 @@ deterministic, sim-clock-driven request/response API with:
 - admission control (:mod:`repro.service.admission`): per-tenant token
   buckets, a bounded queue with deadline-aware rejection, and graceful
   degradation tiers that shed expensive cascade stages first,
-- SLO gates (:mod:`repro.service.slo`) over the persisted metrics,
+- SLO gates over the persisted metrics (:mod:`repro.obs.gates`, with
+  the health table in :mod:`repro.service.slo`),
 - a seeded open-loop load generator (:mod:`repro.service.loadgen`).
 """
 
@@ -24,7 +25,6 @@ from repro.service.bundles import (
 )
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 from repro.service.server import ServiceRequest, ServiceResponse, VerdictServer
-from repro.service.slo import evaluate_slo, parse_slo
 
 __all__ = [
     "AdmissionQueue",
@@ -38,8 +38,6 @@ __all__ = [
     "ServiceResponse",
     "TokenBucket",
     "VerdictServer",
-    "evaluate_slo",
-    "parse_slo",
     "run_loadgen",
     "validate_bundle",
 ]

@@ -1,146 +1,27 @@
-"""SLO gates over persisted service metrics.
+"""The service health table ``repro obs slo`` prints.
 
-``repro obs slo RUN --fail-on EXPR`` turns a run directory into a CI
-tripwire. Expressions reuse the ``--fail-on`` grammar
-(``<target><op><number>``, absolute values only) with service-aware
-targets resolved in this order:
-
-1. **latency shorthands** — ``p50``/``p90``/``p95``/``p99``/``mean``/
-   ``max`` read the ``service.latency`` histogram (seconds),
-2. **derived rates** — ``shed_rate`` (rejections / offered),
-   ``error_rate`` (fetch errors / completed), ``degraded_rate``
-   (degraded responses / completed), ``deadline_rate`` (deadline
-   rejections / offered),
-3. **histogram stats** — ``<histogram>.<stat>`` for any recorded
-   histogram (``service.queue_wait.p99``, ``stage.svc.fetch.p90``, …),
-4. **counters** — anything else is a plain counter name
-   (``service.reload.mixed_bundle``, ``service.rejected.queue_full``).
-
-The relative (``1.2x``) form is rejected: an SLO is a promise about one
-run, not a comparison between two.
+The SLO gates themselves (``--fail-on 'p99>5'``, ``shed_rate>0.9``, …)
+are :mod:`repro.obs.gates` expressions over the run's registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.obs import analyze
+from repro.obs.gates import RegistryView
 from repro.obs.metrics import MetricsRegistry
-
-_LATENCY_SHORTHANDS = ("mean", "max", "p50", "p90", "p95", "p99")
-_HISTOGRAM_STATS = ("mean", "max", "total", "count", "p50", "p90", "p95", "p99")
-
-
-@dataclass(frozen=True)
-class SloThreshold:
-    """One parsed SLO expression."""
-
-    raw: str
-    target: str
-    op: str
-    value: float
-
-
-def parse_slo(expression: str) -> SloThreshold:
-    """Parse ``p99>0.5`` / ``shed_rate>0.25`` / ``service.reload.mixed_bundle>0``."""
-    match = analyze._EXPR_RE.match(expression)
-    if match is None:
-        raise ValueError(
-            f"bad SLO expression {expression!r}; expected '<target><op><number>', "
-            f"e.g. 'p99>0.5' or 'shed_rate>0.25'"
-        )
-    if match["relative"] == "x":
-        raise ValueError(
-            f"SLO gates are absolute; drop the trailing 'x' in {expression!r}"
-        )
-    return SloThreshold(
-        raw=expression.strip(),
-        target=match["target"],
-        op=match["op"],
-        value=float(match["value"]),
-    )
-
-
-def _histogram_stat(histogram, stat: str) -> float:
-    if stat == "mean":
-        return histogram.mean_seconds
-    if stat == "max":
-        return histogram.max_seconds
-    if stat == "total":
-        return histogram.total_seconds
-    if stat == "count":
-        return float(histogram.count)
-    return histogram.quantile(float(stat[1:]) / 100.0)
-
-
-def _ratio(registry: MetricsRegistry, numerator: int, denominator_name: str) -> float:
-    return numerator / max(1, registry.counter(denominator_name))
-
-
-def _derived_rate(registry: MetricsRegistry, target: str):
-    if target == "shed_rate":
-        rejected = (
-            registry.counter("service.rejected.rate_limit")
-            + registry.counter("service.rejected.queue_full")
-            + registry.counter("service.rejected.deadline")
-        )
-        return _ratio(registry, rejected, "service.requests.offered")
-    if target == "deadline_rate":
-        return _ratio(
-            registry,
-            registry.counter("service.rejected.deadline"),
-            "service.requests.offered",
-        )
-    if target == "error_rate":
-        return _ratio(
-            registry,
-            registry.counter("service.fetch.errors"),
-            "service.requests.completed",
-        )
-    if target == "degraded_rate":
-        degraded = sum(
-            registry.counters_with_prefix("service.degraded.").values()
-        )
-        return _ratio(registry, degraded, "service.requests.completed")
-    return None
-
-
-def slo_value(registry: MetricsRegistry, target: str) -> float:
-    """Resolve one SLO target against a run's metrics."""
-    if target in _LATENCY_SHORTHANDS:
-        histogram = registry.histograms.get("service.latency")
-        return _histogram_stat(histogram, target) if histogram is not None else 0.0
-    derived = _derived_rate(registry, target)
-    if derived is not None:
-        return derived
-    prefix, _, stat = target.rpartition(".")
-    if prefix and stat in _HISTOGRAM_STATS and prefix in registry.histograms:
-        return _histogram_stat(registry.histograms[prefix], stat)
-    return float(registry.counter(target))
-
-
-def evaluate_slo(threshold: SloThreshold, registry: MetricsRegistry):
-    """(violated, human-readable detail) for one SLO threshold."""
-    measured = slo_value(registry, threshold.target)
-    violated = analyze._OPS[threshold.op](measured, threshold.value)
-    detail = (
-        f"{threshold.raw}: measured {measured:.4g} — "
-        f"{'VIOLATED' if violated else 'ok'}"
-    )
-    return violated, detail
 
 
 def slo_summary_rows(registry: MetricsRegistry) -> list:
     """The at-a-glance service health table ``obs slo`` prints."""
+    view = RegistryView(registry)
     return [
         ["offered", registry.counter("service.requests.offered")],
         ["admitted", registry.counter("service.requests.admitted")],
         ["completed", registry.counter("service.requests.completed")],
-        ["shed rate", f"{_derived_rate(registry, 'shed_rate'):.1%}"],
-        ["degraded rate", f"{_derived_rate(registry, 'degraded_rate'):.1%}"],
-        ["error rate", f"{_derived_rate(registry, 'error_rate'):.1%}"],
-        ["latency p50", f"{slo_value(registry, 'p50') * 1000:.0f}ms"],
-        ["latency p99", f"{slo_value(registry, 'p99') * 1000:.0f}ms"],
+        ["shed rate", f"{view.value('shed_rate'):.1%}"],
+        ["degraded rate", f"{view.value('degraded_rate'):.1%}"],
+        ["error rate", f"{view.value('error_rate'):.1%}"],
+        ["latency p50", f"{view.value('p50') * 1000:.0f}ms"],
+        ["latency p99", f"{view.value('p99') * 1000:.0f}ms"],
         ["max queue depth", int(registry.gauges.get("service.queue.depth", 0.0))],
         ["reloads applied", registry.counter("service.reload.applied")],
         ["reloads rejected", registry.counter("service.reload.rejected")],

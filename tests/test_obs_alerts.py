@@ -19,9 +19,9 @@ from repro.obs.alerts import (
     AlertRule,
     AlertRuleSet,
     default_service_rules,
-    windowed_value,
     worst_tier,
 )
+from repro.obs.gates import WindowView
 from repro.obs.metrics import DEFAULT_BOUNDS
 from repro.obs.timeseries import HistogramWindow, TickRecord
 
@@ -74,9 +74,9 @@ class TestRuleParsing:
     def test_parse_builds_sorted_windows(self):
         rule = AlertRule.parse("r", "shed_rate>0.2", windows=(15.0, 5.0))
         assert rule.windows == (5.0, 15.0)
-        assert rule.target == "shed_rate"
-        assert rule.op == ">"
-        assert rule.value == 0.2
+        assert rule.gate.target == "shed_rate"
+        assert rule.gate.op == ">"
+        assert rule.gate.value == 0.2
         assert rule.expr == "shed_rate>0.2"
 
     def test_relative_expressions_are_rejected(self):
@@ -84,7 +84,7 @@ class TestRuleParsing:
             AlertRule.parse("r", "p99>1.5x", windows=(5.0,))
 
     def test_garbage_expression_is_rejected(self):
-        with pytest.raises(ValueError, match="bad alert expression"):
+        with pytest.raises(ValueError, match="bad gate expression"):
             AlertRule.parse("r", "p99 is large", windows=(5.0,))
 
     def test_windows_must_be_positive_and_nonempty(self):
@@ -104,26 +104,26 @@ class TestRuleParsing:
 class TestWindowedValue:
     def test_counter_resolves_to_per_second_rate(self):
         records = [_tick(0, {"work.done": 4}), _tick(1, {"work.done": 6})]
-        assert windowed_value("work.done", records, 1.0) == 5.0
+        assert WindowView(records, 1.0).value("work.done") == 5.0
 
     def test_shed_rate_is_ratio_of_window_deltas(self):
         records = [_shed_tick(0), _shed_tick(1, offered=10, rejected=0)]
-        assert windowed_value("shed_rate", records, 1.0) == pytest.approx(0.4)
+        assert WindowView(records, 1.0).value("shed_rate") == pytest.approx(0.4)
 
     def test_latency_shorthand_reads_windowed_histogram(self):
         records = [_tick(0, latency=[(0.004, 9), (2.0, 1)])]
-        assert windowed_value("p50", records, 1.0) == 0.005
+        assert WindowView(records, 1.0).value("p50") == 0.005
         # window quantiles are bucket-resolution: 2.0s is covered by the
         # 5.0s bucket, and a window has no exact max to clamp to
-        assert windowed_value("p99", records, 1.0) == 5.0
+        assert WindowView(records, 1.0).value("p99") == 5.0
 
     def test_explicit_histogram_stat(self):
         records = [_tick(0, latency=[(0.004, 2)])]
-        assert windowed_value("service.latency.count", records, 1.0) == 2.0
+        assert WindowView(records, 1.0).value("service.latency.count") == 2.0
 
     def test_empty_window_is_zero(self):
-        assert windowed_value("p99", [], 1.0) == 0.0
-        assert windowed_value("shed_rate", [_tick(0)], 1.0) == 0.0
+        assert WindowView([], 1.0).value("p99") == 0.0
+        assert WindowView([_tick(0)], 1.0).value("shed_rate") == 0.0
 
     def test_worst_tier_prefers_most_degraded(self):
         records = [

@@ -13,13 +13,12 @@ from repro.obs.analyze import (
     critical_paths,
     diff_runs,
     error_breakdown,
-    evaluate_threshold,
-    parse_fail_on,
     slowest_spans,
     span_ns,
     stage_attribution,
     subtree_stage_ns,
 )
+from repro.obs import gates
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import make_obs
@@ -195,51 +194,47 @@ class TestDiff:
 
 class TestFailOn:
     def test_parse_relative_stage_expression(self):
-        t = parse_fail_on("stage.fetch.p90>1.2x")
-        assert (t.metric, t.stat, t.op, t.value, t.relative) == (
-            "stage.fetch", "p90", ">", 1.2, True
+        t = gates.parse("stage.fetch.p90>1.2x")
+        assert (t.target, t.op, t.value, t.relative) == (
+            "stage.fetch.p90", ">", 1.2, True
         )
 
     def test_parse_absolute_counter_expression(self):
-        t = parse_fail_on("fault.observed.timeout>=10")
-        assert (t.metric, t.stat, t.relative) == ("fault.observed.timeout", None, False)
+        t = gates.parse("fault.observed.timeout>=10")
+        assert (t.target, t.relative) == ("fault.observed.timeout", False)
 
     @pytest.mark.parametrize(
         "expression",
-        ["stage.fetch>1.2x", "stage.fetch.p99>1x", "nonsense", ">1.2x"],
+        ["stage.fetch>1.2x", "stage.fetch.p42>1x", "nonsense", ">1.2x"],
     )
     def test_parse_rejects_malformed(self, expression):
         with pytest.raises(ValueError):
-            parse_fail_on(expression)
+            gates.parse(expression)
 
     def test_relative_threshold_fires_on_regression(self):
         base, head = MetricsRegistry(), MetricsRegistry()
         base.observe_ns("stage.fetch", 1_000_000)
         head.observe_ns("stage.fetch", 40_000_000)
-        violated, detail = evaluate_threshold(
-            parse_fail_on("stage.fetch.p90>1.1x"), base, head
-        )
-        assert violated and "VIOLATED" in detail
+        verdict = gates.evaluate(gates.parse("stage.fetch.p90>1.1x"), head, base)
+        assert verdict.violated and "VIOLATED" in verdict.detail
 
     def test_relative_threshold_passes_on_identical_runs(self):
         base = MetricsRegistry()
         base.observe_ns("stage.fetch", 1_000_000)
         head = MetricsRegistry.from_dict(base.to_dict())
-        violated, detail = evaluate_threshold(
-            parse_fail_on("stage.fetch.p90>1.1x"), base, head
-        )
-        assert not violated and "ok" in detail
+        verdict = gates.evaluate(gates.parse("stage.fetch.p90>1.1x"), head, base)
+        assert not verdict.violated and "ok" in verdict.detail
 
     def test_zero_base_ratio_is_infinite(self):
         base, head = MetricsRegistry(), MetricsRegistry()
         head.observe_ns("stage.fetch", 1_000_000)
-        violated, _ = evaluate_threshold(parse_fail_on("stage.fetch.count>1x"), base, head)
-        assert violated
+        verdict = gates.evaluate(gates.parse("stage.fetch.count>1x"), head, base)
+        assert verdict.violated
 
     def test_absolute_counter_threshold(self):
         head = MetricsRegistry()
         head.inc("crawl.zgrab0.fetch_failures", 7)
-        violated, _ = evaluate_threshold(
-            parse_fail_on("crawl.zgrab0.fetch_failures>5"), MetricsRegistry(), head
+        verdict = gates.evaluate(
+            gates.parse("crawl.zgrab0.fetch_failures>5"), head, MetricsRegistry()
         )
-        assert violated
+        assert verdict.violated

@@ -10,9 +10,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.detector import TIER_FULL, TIER_STATIC_ONLY
+from repro.obs import gates
+from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import ServicePolicy
 from repro.service.loadgen import LoadgenConfig, build_requests, run_loadgen
-from repro.service.slo import evaluate_slo, parse_slo, slo_value
 
 SEED = 2018
 
@@ -126,37 +127,33 @@ class TestRecallByTier:
 
 class TestSloGates:
     def test_parse_latency_shorthand(self):
-        threshold = parse_slo("p99>0.5")
-        assert (threshold.target, threshold.op, threshold.value) == ("p99", ">", 0.5)
+        gate = gates.parse("p99>0.5")
+        assert (gate.target, gate.op, gate.value) == ("p99", ">", 0.5)
 
     def test_parse_rejects_relative_expressions(self):
         with pytest.raises(ValueError, match="absolute"):
-            parse_slo("p99>1.2x")
+            gates.evaluate(gates.parse("p99>1.2x"), MetricsRegistry())
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="bad SLO expression"):
-            parse_slo("p99 is too high")
+        with pytest.raises(ValueError, match="bad gate expression"):
+            gates.parse("p99 is too high")
 
     def test_values_resolve_against_run_metrics(self, overload_report):
-        registry = overload_report.server.metrics
-        assert slo_value(registry, "p99") == overload_report.latency_quantile(0.99)
-        assert slo_value(registry, "shed_rate") == pytest.approx(
-            overload_report.shed_rate
-        )
-        assert slo_value(registry, "service.reload.mixed_bundle") == 0
-        assert slo_value(registry, "service.latency.count") == overload_report.completed
-        assert slo_value(registry, "degraded_rate") > 0
+        view = gates.RegistryView(overload_report.server.metrics)
+        assert view.value("p99") == overload_report.latency_quantile(0.99)
+        assert view.value("shed_rate") == pytest.approx(overload_report.shed_rate)
+        assert view.value("service.reload.mixed_bundle") == 0
+        assert view.value("service.latency.count") == overload_report.completed
+        assert view.value("degraded_rate") > 0
 
     def test_evaluate_flags_violations_only(self, overload_report):
         registry = overload_report.server.metrics
-        violated, detail = evaluate_slo(parse_slo("p99>100"), registry)
-        assert not violated and "ok" in detail
-        violated, detail = evaluate_slo(
-            parse_slo("service.requests.offered<1"), registry
-        )
-        assert not violated
-        violated, detail = evaluate_slo(parse_slo("p99>0.000001"), registry)
-        assert violated and "VIOLATED" in detail
+        verdict = gates.evaluate(gates.parse("p99>100"), registry)
+        assert not verdict.violated and "ok" in verdict.detail
+        verdict = gates.evaluate(gates.parse("service.requests.offered<1"), registry)
+        assert not verdict.violated
+        verdict = gates.evaluate(gates.parse("p99>0.000001"), registry)
+        assert verdict.violated and "VIOLATED" in verdict.detail
 
 
 class TestServiceCli:
