@@ -7,8 +7,10 @@ computation, HTML parsing, filter matching — are visible across runs.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -104,6 +106,22 @@ def test_perf_obs_span_disabled(benchmark):
     assert clock.reads == 0, "disabled obs path read the clock"
 
 
+@contextlib.contextmanager
+def _count_evidence():
+    """Count :class:`~repro.obs.evidence.Evidence` constructions in the block."""
+    from repro.obs.evidence import Evidence
+
+    built = []
+    original = Evidence.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(Evidence, "__init__", counting):
+        yield built
+
+
 def test_perf_campaign_without_run_dir_reads_no_clock(benchmark):
     """The no-``--run-dir``/no-heartbeat campaign path stays zero-cost.
 
@@ -118,36 +136,49 @@ def test_perf_campaign_without_run_dir_reads_no_clock(benchmark):
     population = build_population("net", seed=7, scale=0.02)
     campaign = ZgrabCampaign(population=population)
     clock = TickClock()
-    with use_clock(clock):
+    with use_clock(clock), _count_evidence() as evidence:
         result = benchmark.pedantic(lambda: campaign.scan(0), rounds=1, iterations=1)
     assert clock.reads == 0, "no-run-dir campaign path read the obs clock"
     # ... and zero evidence work: the detector never flips into its
-    # evidence-collecting mode and no verdicts are built or serialized.
+    # evidence-collecting mode, builds no Evidence, and no verdicts are
+    # built or serialized.
     assert campaign.detector.collect_evidence is False
+    assert result.nocoin_domains > 0, "no NoCoin hit: nothing to explain"
+    assert not evidence, f"NULL_OBS campaign built {len(evidence)} Evidence records"
     assert result.verdicts == (), "NULL_OBS campaign built verdict records"
     assert result.graph is None, "NULL_OBS campaign built an attribution graph"
 
 
-def test_perf_loadgen_without_timeseries_reads_no_clock(benchmark):
+@pytest.mark.parametrize("collect_evidence", [True, False])
+def test_perf_loadgen_without_timeseries_reads_no_clock(benchmark, collect_evidence):
     """The no-``--timeseries-interval`` service path stays zero-cost.
 
     The verdict server runs entirely on seeded simulated time; with no
     recorder and no heartbeat attached, a full loadgen campaign must
     perform **zero** obs-clock reads — windowed telemetry is strictly
-    opt-in overhead.
+    opt-in overhead. That holds for the default config (evidence on, as
+    ``loadgen --run-dir`` runs it) and for the evidence-free config
+    ``loadgen`` without ``--run-dir`` runs, which must also build no
+    Evidence for the full cascade, dynamic profiling included.
     """
     from repro.obs.clock import TickClock, use_clock
     from repro.service.loadgen import LoadgenConfig, run_loadgen
 
-    config = LoadgenConfig(seed=11, scale=0.05, rate=20.0, duration=4.0)
+    # collect_evidence=True is the LoadgenConfig default
+    config = LoadgenConfig(
+        seed=11, scale=0.05, rate=20.0, duration=4.0, collect_evidence=collect_evidence
+    )
     clock = TickClock()
-    with use_clock(clock):
+    with use_clock(clock), _count_evidence() as evidence:
         report = benchmark.pedantic(
             lambda: run_loadgen(config), rounds=1, iterations=1
         )
     assert clock.reads == 0, "no-timeseries loadgen path read the obs clock"
     assert report.recorder is None
     assert report.timeseries is None
+    if not collect_evidence:
+        assert report.counter("service.verdict.miner") > 0, "no miner: nothing to explain"
+        assert not evidence, f"evidence-free loadgen built {len(evidence)} Evidence records"
 
 
 def test_perf_obs_span_enabled(benchmark):

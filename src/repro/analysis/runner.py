@@ -22,7 +22,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
-from repro.core.pool_association import BlockAttributor
+from repro.core.pool_association import attribution_evidence
 from repro.faults.ledger import FaultLedger
 from repro.graph.build import add_verdict
 from repro.graph.model import Graph
@@ -312,11 +312,8 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         )
     if obs.enabled:
         # block verdicts: each attribution cites its Merkle-root proof
-        explained = BlockAttributor(chain=observation.chain).attribute_explained(
-            observation.clusters
-        )
-        obs.inc("detector.pool.blocks_attributed", len(explained))
-        for block, evidence in explained:
+        obs.inc("detector.pool.blocks_attributed", len(observation.attributed))
+        for block in observation.attributed:
             record = VerdictRecord(
                 subject=f"block-{block.height}",
                 dataset="network",
@@ -326,7 +323,7 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 family="coinhive",
                 method="pool-association",
                 confidence=1.0,
-                evidence=(evidence,),
+                evidence=(attribution_evidence(block, observation.clusters),),
             )
             verdicts.append(record)
             add_verdict(run_graph, record)

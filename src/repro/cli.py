@@ -582,6 +582,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         timeseries_interval=args.timeseries_interval,
         cooldown=args.cooldown,
         heartbeat=args.heartbeat,
+        # verdicts are only persisted into a run dir; without one, skip them
+        collect_evidence=args.run_dir is not None,
     )
     print(
         f"dataset={config.dataset} offered={config.rate:.0f}r/s x "

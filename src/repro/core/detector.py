@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.classifier import Classification, MinerClassifier
-from repro.core.nocoin import FilterList, default_nocoin_list
+from repro.core.nocoin import FilterList, FilterMatch, default_nocoin_list
 from repro.obs.evidence import Evidence
 from repro.web.html import scan_scripts
 
@@ -74,15 +74,28 @@ class DetectionReport:
         return self.is_miner and not self.nocoin_hit
 
 
+#: the page verdict a positive dynamic profile stands for
+DYNAMIC_MINER = Classification(
+    is_miner=True, family="unknown-miner", method="dynamic", confidence=0.8
+)
+
+
 @dataclass
 class PageDetector:
     """Applies both detectors to crawl artifacts.
 
-    With ``collect_evidence`` set (campaigns enable it when their ``Obs``
-    context is on), every report carries an :class:`Evidence` chain citing
-    the exact rule/signature/threshold/backend that produced its verdict.
-    The default keeps detection evidence-free — the ``NULL_OBS`` hot path
-    allocates nothing extra.
+    Every entry point is one walk over the cascade's layers — NoCoin script
+    scan → signature lookup → name hint / instruction mix / backend →
+    dynamic profile — in which each layer decides once and returns its
+    decision record (:class:`~repro.core.nocoin.FilterMatch`,
+    :class:`~repro.core.classifier.Classification`,
+    :class:`~repro.core.dynamic.DynamicDecision`). The report's fields are
+    a projection of those records. With ``collect_evidence`` set
+    (campaigns enable it when their ``Obs`` context is on), the same
+    records are rendered into an :class:`Evidence` chain citing the exact
+    rule/signature/threshold/backend behind the verdict. The default keeps
+    detection evidence-free — the ``NULL_OBS`` hot path builds no
+    :class:`Evidence` at all.
     """
 
     nocoin: FilterList = field(default_factory=default_nocoin_list)
@@ -91,34 +104,24 @@ class PageDetector:
 
     def detect_static(self, domain: str, html: str) -> DetectionReport:
         """NoCoin-only detection on zgrab HTML (the Section 3.1 pipeline)."""
-        report = DetectionReport(domain=domain)
-        self._apply_nocoin(report, html)
-        return report
+        return self._walk(DetectionReport(domain=domain), html)
 
     def detect_page(self, domain: str, page_result) -> DetectionReport:
         """Full detection on a browser visit (the Section 3.2 pipeline)."""
-        report = DetectionReport(domain=domain, status=page_result.status)
         if page_result.status == "error":
-            report.status = "error"
-            return report
-        self._apply_nocoin(report, page_result.final_html)
-        report.websocket_urls = tuple(sorted(page_result.websocket_urls()))
-        report.wasm_present = page_result.has_wasm()
-        if report.wasm_present:
-            if self.collect_evidence:
-                report.miner, wasm_evidence = self.classifier.explain_page(
-                    page_result.wasm_dumps, report.websocket_urls
-                )
-                report.evidence = report.evidence + wasm_evidence
-            else:
-                report.miner = self.classifier.page_is_miner(
-                    page_result.wasm_dumps, report.websocket_urls
-                )
-        if self.collect_evidence and page_result.websocket_frames:
-            report.evidence = report.evidence + (
-                _websocket_evidence(page_result.websocket_frames),
-            )
-        return report
+            return DetectionReport(domain=domain, status="error")
+        report = DetectionReport(
+            domain=domain,
+            status=page_result.status,
+            wasm_present=page_result.has_wasm(),
+            websocket_urls=tuple(sorted(page_result.websocket_urls())),
+        )
+        return self._walk(
+            report,
+            page_result.final_html,
+            page_result.wasm_dumps,
+            frames=page_result.websocket_frames,
+        )
 
     def detect_request(
         self,
@@ -146,80 +149,75 @@ class PageDetector:
         if tier not in DEGRADATION_TIERS:
             raise ValueError(f"unknown degradation tier {tier!r}; expected one of {DEGRADATION_TIERS}")
         report = DetectionReport(domain=domain)
-        self._apply_nocoin(report, html)
-        if tier == TIER_STATIC_ONLY or not wasm_dumps:
-            return report
-        report.websocket_urls = tuple(sorted(websocket_urls))
-        report.wasm_present = True
-        if tier == TIER_NO_CLASSIFIER:
-            self._signature_only(report, wasm_dumps)
-            return report
+        if tier != TIER_STATIC_ONLY and wasm_dumps:
+            report.wasm_present = True
+            report.websocket_urls = tuple(sorted(websocket_urls))
+        return self._walk(report, html, wasm_dumps, tier, dynamic)
+
+    def _walk(
+        self, report: DetectionReport, html: str, wasm_dumps=(),
+        tier: str = TIER_FULL, dynamic=None, frames=(),
+    ) -> DetectionReport:
+        """Run each layer once, project the report, render the evidence."""
+        decisions = self.nocoin.explain_scripts(scan_scripts(html))
+        if report.wasm_present:
+            decisions += self._wasm_layers(
+                wasm_dumps, report.websocket_urls, tier, dynamic
+            )
+        labels = {}
+        for decision in decisions:
+            if isinstance(decision, FilterMatch):
+                report.nocoin_hit = True
+                labels.setdefault(decision.rule.label or decision.rule.raw)
+            elif decision.is_miner and report.miner is None:
+                report.miner = (
+                    decision if isinstance(decision, Classification) else DYNAMIC_MINER
+                )
+        report.nocoin_rule_labels = tuple(labels)
         if self.collect_evidence:
-            report.miner, wasm_evidence = self.classifier.explain_page(
-                wasm_dumps, report.websocket_urls
-            )
-            report.evidence = report.evidence + wasm_evidence
-        else:
-            report.miner = self.classifier.page_is_miner(
-                wasm_dumps, report.websocket_urls
-            )
-        if tier == TIER_FULL and dynamic is not None and not report.is_miner:
-            self._apply_dynamic(report, wasm_dumps, dynamic)
+            report.evidence = tuple(
+                _render(decision, report.websocket_urls) for decision in decisions
+            ) + ((_websocket_evidence(frames),) if frames else ())
         return report
 
-    def _signature_only(self, report: DetectionReport, wasm_dumps) -> None:
-        """Exact signature-db lookups; unknown modules stay unclassified."""
-        for dump in wasm_dumps:
-            record = self.classifier.database.lookup(dump)
-            if record is None or not record.is_miner:
-                continue
-            report.miner = Classification(
-                is_miner=True,
-                family=record.family,
-                method="signature",
-                confidence=1.0,
-            )
-            if self.collect_evidence:
-                _, evidence = self.classifier.explain_wasm(dump, report.websocket_urls)
-                report.evidence = report.evidence + (evidence,)
-            return
+    def _wasm_layers(self, wasm_dumps, websocket_urls, tier, dynamic) -> list:
+        """Decision records of the wasm layers the ``tier`` keeps."""
+        if tier == TIER_NO_CLASSIFIER:
+            # exact signature-db lookups; unknown modules stay unclassified
+            for dump in wasm_dumps:
+                known = self.classifier.signature_match(dump)
+                if known is not None and known.is_miner:
+                    return [known]
+            return []
+        decision = self.classifier.page_decision(wasm_dumps, websocket_urls)
+        if decision is None:
+            return []
+        decisions = [decision]
+        if tier == TIER_FULL and dynamic is not None and not decision.is_miner:
+            # execution-profile modules the static cascade left unclassified
+            for dump in wasm_dumps:
+                is_miner, profiled = dynamic.explain(dump)
+                decisions.append(profiled)
+                if is_miner:
+                    break
+        return decisions
 
-    def _apply_dynamic(self, report: DetectionReport, wasm_dumps, dynamic) -> None:
-        """Execution-profile modules the static cascade left unclassified."""
-        for dump in wasm_dumps:
-            if self.collect_evidence:
-                is_miner, evidence = dynamic.explain(dump)
-                report.evidence = report.evidence + (evidence,)
-            else:
-                is_miner = dynamic.is_miner(dump)
-            if is_miner:
-                report.miner = Classification(
-                    is_miner=True,
-                    family="unknown-miner",
-                    method="dynamic",
-                    confidence=0.8,
-                )
-                return
 
-    def _apply_nocoin(self, report: DetectionReport, html: str) -> None:
-        scripts = scan_scripts(html)
-        if self.collect_evidence:
-            matches = self.nocoin.explain_scripts(scripts)
-            if matches:
-                report.nocoin_hit = True
-                report.nocoin_rule_labels = tuple(
-                    dict.fromkeys(m.rule.label or m.rule.raw for m in matches)
-                )
-                report.evidence = report.evidence + tuple(
-                    _nocoin_evidence(match) for match in matches
-                )
-            return
-        hits = self.nocoin.match_scripts(scripts)
-        if hits:
-            report.nocoin_hit = True
-            report.nocoin_rule_labels = tuple(
-                dict.fromkeys(rule.label or rule.raw for rule in hits)
-            )
+def _render(decision, websocket_urls: tuple) -> Evidence:
+    """The evidence for one layer's decision record."""
+    if isinstance(decision, FilterMatch):
+        return _nocoin_evidence(decision)
+    if isinstance(decision, Classification):
+        return _classifier_evidence(decision, websocket_urls)
+    return _dynamic_evidence(decision)
+
+
+def _cite(check) -> tuple:
+    """``(name, "value (op threshold ok|FAIL)")`` for one threshold test."""
+    shown = format(check.value, check.fmt)
+    if check.op:
+        shown += f" ({check.op} {check.threshold} {'ok' if check.ok else 'FAIL'})"
+    return check.name, shown
 
 
 def _nocoin_evidence(match) -> Evidence:
@@ -241,6 +239,90 @@ def _nocoin_evidence(match) -> Evidence:
             ("subject", match.subject),
             ("matched", match.matched),
         ),
+    )
+
+
+def _classifier_evidence(decision: Classification, websocket_urls: tuple) -> Evidence:
+    """Cite the cascade branch that decided: the signature-db record (and
+    how many function hashes fed the signature), the name hints found, or
+    each instruction-mix feature value against its threshold."""
+    verdict = "miner" if decision.is_miner else "benign"
+    if decision.method == "signature":
+        record = decision.record
+        hashes = decision.function_hashes
+        return Evidence(
+            detector="signature",
+            verdict=verdict,
+            summary=(
+                f"signature-db record {record.family!r} matched "
+                f"({hashes} function hashes)"
+            ),
+            details=(
+                ("signature", record.signature),
+                ("db_family", record.family),
+                ("db_is_miner", str(record.is_miner)),
+                ("db_variant", str(record.variant)),
+                ("function_hashes", str(hashes)),
+            ),
+        )
+    if decision.method == "none":
+        return Evidence(
+            detector="signature",
+            verdict="invalid",
+            summary="module did not decode; no classification possible",
+            details=(("decodable", "False"),),
+        )
+    if decision.method == "name-hint":
+        hints = decision.features.name_hints
+        return Evidence(
+            detector="name-hint",
+            verdict=verdict,
+            summary=f"function names hint at PoW hashing: {', '.join(hints[:4])}",
+            details=tuple(("name_hint", name) for name in hints[:8]),
+        )
+    thresholds = tuple(_cite(check) for check in decision.checks)
+    if decision.method == "backend":
+        needle, url = decision.backend
+        return Evidence(
+            detector="backend",
+            verdict=verdict,
+            summary=f"WebSocket backend {needle!r} identifies the family",
+            details=(
+                ("backend_needle", needle),
+                ("backend_url", url),
+                ("family", decision.family),
+            ) + thresholds,
+        )
+    return Evidence(
+        detector="instruction-mix",
+        verdict=verdict,
+        summary=(
+            "instruction mix "
+            + ("matches" if decision.is_miner else "does not match")
+            + " the CryptoNight profile"
+        ),
+        details=thresholds + (("websocket_urls", ",".join(websocket_urls)),),
+    )
+
+
+def _dynamic_evidence(decision) -> Evidence:
+    """Cite each executed-stream feature against its threshold."""
+    if decision.error:
+        return Evidence(
+            detector="dynamic",
+            verdict="invalid",
+            summary=f"module failed to execute ({decision.error})",
+            details=(("error", decision.error),),
+        )
+    return Evidence(
+        detector="dynamic",
+        verdict="miner" if decision.is_miner else "benign",
+        summary=(
+            "executed instruction stream "
+            + ("matches" if decision.is_miner else "does not match")
+            + " the CryptoNight profile"
+        ),
+        details=tuple(_cite(check) for check in decision.checks),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.features import WasmFeatures
+from repro.core.features import Check, at_least, at_most
 from repro.wasm import opcodes
 from repro.wasm.decoder import WasmDecodeError, decode_module
 from repro.wasm.interp import FuelExhausted, Instance, WasmTrap
@@ -115,6 +115,17 @@ def profile_execution(
     )
 
 
+@dataclass(frozen=True)
+class DynamicDecision:
+    """The dynamic layer's decision on one module: the verdict and the
+    :class:`~repro.core.features.Check` s it rests on, or the name of the
+    error that stopped execution."""
+
+    is_miner: bool
+    checks: tuple = ()
+    error: str = ""
+
+
 @dataclass
 class DynamicMinerDetector:
     """Classifies by executed instruction mix.
@@ -130,82 +141,36 @@ class DynamicMinerDetector:
     min_rotate_count: int = 4
     min_executed: int = 200
 
-    def is_miner(self, module_or_bytes) -> bool:
-        try:
-            profile = profile_execution(module_or_bytes)
-        except (WasmDecodeError, WasmTrap):
-            return False
-        if not profile.completed or profile.executed < self.min_executed:
-            return False
-        bitops = profile.xor_density + profile.shift_density
-        return (
-            bitops >= self.min_bitop_density
-            and profile.float_density <= self.max_float_density
-            and profile.memory_pages >= self.min_memory_pages
-            and profile.rotate_count >= self.min_rotate_count
-        )
-
     def explain(self, module_or_bytes) -> tuple:
-        """``(is_miner, evidence)``: each executed-stream feature value
-        cited against the threshold it was tested on."""
-        from repro.obs.evidence import Evidence
-
+        """``(is_miner, DynamicDecision)``: the verdict plus each
+        executed-stream feature tested against its threshold."""
         try:
             profile = profile_execution(module_or_bytes)
         except (WasmDecodeError, WasmTrap) as exc:
-            return False, Evidence(
-                detector="dynamic",
-                verdict="invalid",
-                summary=f"module failed to execute ({type(exc).__name__})",
-                details=(("error", type(exc).__name__),),
-            )
-        bitops = profile.xor_density + profile.shift_density
-        verdict = (
-            profile.completed
-            and profile.executed >= self.min_executed
-            and bitops >= self.min_bitop_density
-            and profile.float_density <= self.max_float_density
-            and profile.memory_pages >= self.min_memory_pages
-            and profile.rotate_count >= self.min_rotate_count
-        )
+            return False, DynamicDecision(False, error=type(exc).__name__)
         checks = (
-            (
-                "executed",
-                f"{profile.executed} (>= {self.min_executed} "
-                f"{'ok' if profile.executed >= self.min_executed else 'FAIL'})",
-            ),
-            ("completed", str(profile.completed)),
-            (
+            at_least("executed", profile.executed, self.min_executed),
+            Check("completed", profile.completed, ok=profile.completed),
+            at_least(
                 "executed_bitop_density",
-                f"{bitops:.4f} (>= {self.min_bitop_density} "
-                f"{'ok' if bitops >= self.min_bitop_density else 'FAIL'})",
+                profile.xor_density + profile.shift_density,
+                self.min_bitop_density,
+                ".4f",
             ),
-            (
+            at_most(
                 "executed_float_density",
-                f"{profile.float_density:.4f} (<= {self.max_float_density} "
-                f"{'ok' if profile.float_density <= self.max_float_density else 'FAIL'})",
+                profile.float_density,
+                self.max_float_density,
+                ".4f",
             ),
-            (
-                "memory_pages",
-                f"{profile.memory_pages} (>= {self.min_memory_pages} "
-                f"{'ok' if profile.memory_pages >= self.min_memory_pages else 'FAIL'})",
-            ),
-            (
-                "executed_rotate_count",
-                f"{profile.rotate_count} (>= {self.min_rotate_count} "
-                f"{'ok' if profile.rotate_count >= self.min_rotate_count else 'FAIL'})",
-            ),
+            at_least("memory_pages", profile.memory_pages, self.min_memory_pages),
+            at_least("executed_rotate_count", profile.rotate_count, self.min_rotate_count),
         )
-        return verdict, Evidence(
-            detector="dynamic",
-            verdict="miner" if verdict else "benign",
-            summary=(
-                "executed instruction stream "
-                + ("matches" if verdict else "does not match")
-                + " the CryptoNight profile"
-            ),
-            details=checks,
-        )
+        verdict = all(check.ok for check in checks)
+        return verdict, DynamicDecision(verdict, checks)
+
+    def is_miner(self, module_or_bytes) -> bool:
+        return self.explain(module_or_bytes)[0]
 
 
 def pad_with_dead_code(wasm_bytes: bytes, float_functions: int = 6) -> bytes:

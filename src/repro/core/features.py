@@ -12,7 +12,8 @@ name hints. The classifier consumes these for modules whose signature is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.wasm import opcodes
 from repro.wasm.decoder import WasmDecodeError, decode_module
@@ -70,6 +71,29 @@ class WasmFeatures:
 
     def has_hash_names(self) -> bool:
         return bool(self.name_hints)
+
+
+class Check(NamedTuple):
+    """One threshold test a detector ran, kept so evidence can cite it.
+
+    ``op`` is ``">="`` or ``"<="``, or empty for a value cited without a
+    threshold; ``fmt`` is the format spec the value is cited with.
+    """
+
+    name: str
+    value: object
+    op: str = ""
+    threshold: object = None
+    ok: bool = True
+    fmt: str = ""
+
+
+def at_least(name: str, value, threshold, fmt: str = "") -> Check:
+    return Check(name, value, ">=", threshold, value >= threshold, fmt)
+
+
+def at_most(name: str, value, threshold, fmt: str = "") -> Check:
+    return Check(name, value, "<=", threshold, value <= threshold, fmt)
 
 
 def extract_features(module_or_bytes) -> WasmFeatures:

@@ -231,8 +231,12 @@ class FilterList:
         self._fast()
         return self
 
-    def match_url(self, url: str) -> Optional[FilterRule]:
-        """First matching (non-excepted) rule for a script URL, or None.
+    # Each explain_* method is the layer's one decision: the rule that fired
+    # and the span it covered. The match_* methods project the rule out.
+
+    def explain_url(self, url: str) -> Optional[FilterMatch]:
+        """First matching (non-excepted) rule for a script URL and the span
+        it matched, or None.
 
         ``$script`` options need no handling here: callers only pass
         script-src URLs, which is exactly the resource type those rules
@@ -241,40 +245,12 @@ class FilterList:
         found = self._fast().find_url(url)
         if found is None or self._fast().any_exception_url(url):
             return None
-        return found[0].rule
-
-    def match_text(self, text: str) -> Optional[FilterRule]:
-        """First rule whose pattern occurs in inline script text, or None."""
-        if not text:
-            return None
-        found = self._fast().find_text(text)
-        return found[0].rule if found is not None else None
-
-    def match_scripts(self, scripts) -> list:
-        """Match ``(src, inline)`` script pairs; returns matching rules."""
-        hits = []
-        for src, inline in scripts:
-            rule = None
-            if src:
-                rule = self.match_url(src)
-            if rule is None and inline:
-                rule = self.match_text(inline)
-            if rule is not None:
-                hits.append(rule)
-        return hits
-
-    # -- explained matching (evidence provenance) --------------------------------
-
-    def explain_url(self, url: str) -> Optional[FilterMatch]:
-        """Like :meth:`match_url`, but returns the rule *and* matched span."""
-        found = self._fast().find_url(url)
-        if found is None or self._fast().any_exception_url(url):
-            return None
         compiled, matched = found
         return FilterMatch(rule=compiled.rule, where="url", subject=url, matched=matched)
 
     def explain_text(self, text: str) -> Optional[FilterMatch]:
-        """Like :meth:`match_text`, but returns the rule and matched span."""
+        """First rule whose pattern occurs in inline script text, with the
+        matched span and the (truncated) text, or None."""
         if not text:
             return None
         found = self._fast().find_text(text)
@@ -287,8 +263,8 @@ class FilterList:
         )
 
     def explain_scripts(self, scripts) -> list:
-        """Explained variant of :meth:`match_scripts`: one
-        :class:`FilterMatch` per hit, same rule-selection order."""
+        """Match ``(src, inline)`` script pairs: one :class:`FilterMatch`
+        per script that hits, its URL tried before its inline text."""
         matches = []
         for src, inline in scripts:
             match = None
@@ -299,6 +275,20 @@ class FilterList:
             if match is not None:
                 matches.append(match)
         return matches
+
+    def match_url(self, url: str) -> Optional[FilterRule]:
+        """The rule :meth:`explain_url` cites, or None."""
+        match = self.explain_url(url)
+        return match.rule if match is not None else None
+
+    def match_text(self, text: str) -> Optional[FilterRule]:
+        """The rule :meth:`explain_text` cites, or None."""
+        match = self.explain_text(text)
+        return match.rule if match is not None else None
+
+    def match_scripts(self, scripts) -> list:
+        """The rules :meth:`explain_scripts` cites, one per hit."""
+        return [match.rule for match in self.explain_scripts(scripts)]
 
     def __len__(self) -> int:
         return len(self.rules)

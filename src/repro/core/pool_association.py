@@ -230,6 +230,8 @@ class AttributedBlock:
     timestamp: int
     reward_atomic: int
     merkle_root: bytes
+    #: the previous-block id whose observed PoW inputs held the root
+    cluster_id: bytes = b""
 
 
 @dataclass
@@ -258,53 +260,36 @@ class BlockAttributor:
                         timestamp=block.header.timestamp,
                         reward_atomic=block.reward(),
                         merkle_root=block.merkle_root(),
+                        cluster_id=prev_id,
                     )
                 )
         attributed.sort(key=lambda blk: blk.height)
         return attributed
 
-    def attribute_explained(self, clusters: dict) -> list:
-        """``(AttributedBlock, Evidence)`` pairs, sorted by height.
 
-        Each evidence record is the Merkle proof of the attribution: the
-        cluster id (the previous-block pointer the PoW inputs were grouped
-        on), the matched Merkle root, and the cluster size — "we could
-        never by accident see a Merkle tree root of another miner".
-        """
-        from repro.obs.evidence import Evidence
+def attribution_evidence(block: AttributedBlock, clusters: dict):
+    """The Merkle proof behind one attribution :meth:`BlockAttributor.attribute`
+    already made: the cluster id (the previous-block pointer the PoW inputs
+    were grouped on), the matched Merkle root, and the cluster size — "we
+    could never by accident see a Merkle tree root of another miner"."""
+    from repro.obs.evidence import Evidence
 
-        explained: list = []
-        for prev_id, merkle_roots in clusters.items():
-            block = self.chain.block_after(prev_id)
-            if block is None:
-                continue
-            root = block.merkle_root()
-            if root in merkle_roots:
-                height = self.chain.height_of(block)
-                attributed = AttributedBlock(
-                    height=height,
-                    timestamp=block.header.timestamp,
-                    reward_atomic=block.reward(),
-                    merkle_root=root,
-                )
-                evidence = Evidence(
-                    detector="pool",
-                    verdict="attributed",
-                    summary=(
-                        f"block {height}: mined Merkle root matches a PoW input "
-                        f"observed for cluster {prev_id.hex()[:16]}"
-                    ),
-                    details=(
-                        ("cluster_id", prev_id.hex()),
-                        ("prev_block_pointer", prev_id.hex()),
-                        ("merkle_root", root.hex()),
-                        ("cluster_roots_observed", str(len(merkle_roots))),
-                        ("height", str(height)),
-                    ),
-                )
-                explained.append((attributed, evidence))
-        explained.sort(key=lambda pair: pair[0].height)
-        return explained
+    prev_id = block.cluster_id.hex()
+    return Evidence(
+        detector="pool",
+        verdict="attributed",
+        summary=(
+            f"block {block.height}: mined Merkle root matches a PoW input "
+            f"observed for cluster {prev_id[:16]}"
+        ),
+        details=(
+            ("cluster_id", prev_id),
+            ("prev_block_pointer", prev_id),
+            ("merkle_root", block.merkle_root.hex()),
+            ("cluster_roots_observed", str(len(clusters[block.cluster_id]))),
+            ("height", str(block.height)),
+        ),
+    )
 
 
 @dataclass

@@ -133,6 +133,12 @@ class RunManifest:
             **{k: v for k, v in self.params.items() if k not in EXECUTION_PARAMS},
         }
 
+    def workload_id(self) -> str:
+        """``workload-`` plus a digest of :meth:`identity`: shared by runs
+        that differ only in execution params (shards, heartbeat, ...),
+        unlike ``run_id``, which hashes every param."""
+        return "workload-" + campaign_fingerprint(self.identity())[:12]
+
     def to_dict(self) -> dict:
         payload = {
             "schema_version": self.schema_version,

@@ -73,7 +73,8 @@ class ClusterScore:
 class Scorecard:
     """Per-detector scores for one run."""
 
-    run_id: str
+    #: :meth:`~repro.obs.ledger.RunManifest.workload_id` of the scored run
+    workload_id: str
     #: detector name → confusion matrix, in presentation order
     matrices: dict = field(default_factory=dict)
     #: Table 2's headline, recomputed from the chrome verdicts
@@ -191,7 +192,7 @@ def build_scorecard(artifacts) -> Scorecard:
         )
     truth = build_ground_truth(artifacts.manifest)
     card = Scorecard(
-        run_id=artifacts.manifest.run_id,
+        workload_id=artifacts.manifest.workload_id(),
         datasets=tuple(sorted(truth)),
         truth_miners=sum(
             len(domains)
@@ -357,7 +358,7 @@ def render_scorecard_summary(card: Scorecard) -> str:
         else f"{card.detection_factor:.1f}"
     )
     return (
-        f"run {card.run_id} datasets={','.join(card.datasets)} "
+        f"workload {card.workload_id} datasets={','.join(card.datasets)} "
         f"pages={card.page_verdicts} blocks={card.block_verdicts} "
         f"truth_miners={card.truth_miners}\n"
         f"wasm miners found: {card.wasm_miner_hits} "

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.clock import TickClock, get_clock, use_clock
+from repro.obs.ledger import load_run
 
 CRAWL = [
     "--seed", "7", "crawl", "--dataset", "net", "--scale", "0.03",
@@ -48,8 +49,6 @@ class TestRunDirDeterminism:
         assert manifest_a["params"]["dataset"] == "net"
 
     def test_serial_and_thread_runs_share_span_ids_and_counters(self, tmp_path):
-        from repro.obs.ledger import load_run
-
         serial, threaded = tmp_path / "s", tmp_path / "t"
         assert _crawl_run(serial) == 0
         assert _crawl_run(threaded, extra=["--executor", "thread", "--workers", "2"]) == 0
@@ -292,6 +291,21 @@ class TestObsScorecard:
         first = capsys.readouterr().out
         assert main(["obs", "scorecard", str(twin)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_scorecard_is_identical_across_execution_params(self, verdict_run, tmp_path, capsys):
+        # --heartbeat is an execution param: it changes the run id but not
+        # the workload, so an identical-seed scorecard must not change
+        twin = tmp_path / "heartbeat-twin"
+        assert _alexa_run(twin, extra=("--heartbeat", "5")) == 0
+        first_manifest = load_run(verdict_run).manifest
+        twin_manifest = load_run(twin).manifest
+        assert twin_manifest.run_id != first_manifest.run_id
+        capsys.readouterr()
+        assert main(["obs", "scorecard", str(verdict_run)]) == 0
+        first = capsys.readouterr().out
+        assert main(["obs", "scorecard", str(twin)]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith(f"workload {first_manifest.workload_id()} ")
 
     def test_every_miner_verdict_carries_evidence(self, verdict_run):
         from repro.obs.evidence import read_verdicts_jsonl

@@ -189,11 +189,14 @@ class TestClassifier:
         assert result.family == "invalid"
 
     def test_page_is_miner_picks_miner_among_dumps(self, classifier, coinhive_wasm, benign_wasm):
-        result = classifier.page_is_miner([benign_wasm, coinhive_wasm])
-        assert result is not None and result.family == "coinhive"
+        result = classifier.page_decision([benign_wasm, coinhive_wasm])
+        assert result is not None and result.is_miner and result.family == "coinhive"
 
     def test_page_without_miners(self, classifier, benign_wasm):
-        assert classifier.page_is_miner([benign_wasm]) is None
+        # a clean page is decided by its first dump's benign classification
+        result = classifier.page_decision([benign_wasm])
+        assert result is not None and not result.is_miner
+        assert classifier.page_decision([]) is None
 
     def test_corpus_wide_accuracy(self, signature_db, corpus):
         """Every corpus module classifies to its ground truth via signature."""

@@ -1,13 +1,15 @@
 """Detection provenance: evidence records, the verdict ledger, and every
 detector's explain path.
 
-The contract under test is twofold. First, explained detection is
-*outcome-identical* to bare detection — ``explain_*`` never changes what
-the fast path would have decided, it only cites why. Second, the
-persisted ``verdicts.jsonl`` is a lossless, versioned serialization:
-Hypothesis round-trips arbitrary verdict records through the JSONL
-format, legacy headerless files still parse, and files from a future
-schema are rejected loudly (same contract as ``trace.jsonl``).
+The contract under test is twofold. First, the evidence each layer's
+decision renders is the evidence the written-twice detectors in
+:mod:`tests.oracles` built, and collecting it never changes a verdict
+(``tests/test_cascade_differential.py`` runs the generated battery; the
+cases here pin the edges by name). Second, the persisted
+``verdicts.jsonl`` is a lossless, versioned serialization: Hypothesis
+round-trips arbitrary verdict records through the JSONL format, legacy
+headerless files still parse, and files from a future schema are
+rejected loudly (same contract as ``trace.jsonl``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core.detector import (
     CrossTabulation,
     PageDetector,
     cross_tabulate,
+    _render,
     _websocket_evidence,
 )
 from repro.core.dynamic import DynamicMinerDetector
@@ -43,6 +46,16 @@ from repro.obs.evidence import (
     render_verdict,
     verdicts_to_jsonl,
 )
+from tests import oracles
+
+
+def _walk_wasm(classifier, dumps, websocket_urls=()) -> tuple:
+    """``(miner, evidence)`` the cascade walk decides for a page's dumps."""
+    detector = PageDetector(
+        nocoin=FilterList(), classifier=classifier, collect_evidence=True
+    )
+    report = detector.detect_request("x.example", "", dumps, websocket_urls)
+    return report.miner, report.evidence
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +91,7 @@ class TestNocoinExplain:
         url = "https://coinhive.com/lib/coinhive.min.js"
         match = filters.explain_url(url)
         assert match is not None
-        assert match.rule is filters.match_url(url)
+        assert match == oracles.explain_url(filters, url)
         assert match.where == "url"
         assert match.subject == url
         assert match.matched and match.matched in url
@@ -87,6 +100,7 @@ class TestNocoinExplain:
         text = "x" * 200 + "coinhive.min.js" + "y" * 200
         match = filters.explain_text(text)
         assert match is not None
+        assert match == oracles.explain_text(filters, text)
         assert len(match.subject) <= 120
         assert match.matched == "coinhive.min.js"
 
@@ -97,13 +111,18 @@ class TestNocoinExplain:
             ("", "var miner = new CoinHive.Anonymous; // crypto-loot.min.js"),
         ]
         explained = filters.explain_scripts(scripts)
-        assert [m.rule for m in explained] == filters.match_scripts(scripts)
+        assert explained == oracles.explain_scripts(filters, scripts)
+        assert filters.match_scripts(scripts) == oracles.match_scripts(filters, scripts)
+        assert len(explained) == 2
 
     def test_exception_rules_suppress_explained_hits(self):
         filters = FilterList.from_lines(
             ["||coinhive.com^", "@@||coinhive.com/opt-out^"], source="t"
         )
-        assert filters.explain_url("https://coinhive.com/opt-out/x.js") is None
+        url = "https://coinhive.com/opt-out/x.js"
+        assert filters.explain_url(url) is None
+        assert oracles.explain_url(filters, url) is None
+        assert filters.explain_url("https://coinhive.com/x.js") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +132,10 @@ class TestNocoinExplain:
 class TestClassifierExplain:
     def test_signature_evidence_cites_db_record(self, signature_db, coinhive_wasm):
         classifier = MinerClassifier(database=signature_db)
-        classification, evidence = classifier.explain_wasm(coinhive_wasm)
-        assert classification == classifier.classify_wasm(coinhive_wasm)
+        classification, (evidence,) = _walk_wasm(classifier, [coinhive_wasm])
+        expected = oracles.explain_wasm(classifier, coinhive_wasm)
+        assert classification == expected[0]
+        assert evidence.to_dict() == expected[1].to_dict()
         assert classification.method == "signature"
         assert evidence.detector == "signature"
         assert evidence.verdict == "miner"
@@ -125,9 +146,9 @@ class TestClassifierExplain:
 
     def test_benign_evidence_cites_each_threshold(self, benign_wasm):
         classifier = MinerClassifier(database=SignatureDatabase())
-        classification, evidence = classifier.explain_wasm(benign_wasm)
-        assert classification == classifier.classify_wasm(benign_wasm)
-        assert not classification.is_miner
+        miner, (evidence,) = _walk_wasm(classifier, [benign_wasm])
+        assert miner is None
+        assert evidence.to_dict() == oracles.explain_wasm(classifier, benign_wasm)[1].to_dict()
         assert evidence.verdict == "benign"
         details = dict(evidence.details)
         # every cascade threshold is cited with the value that was tested
@@ -137,8 +158,9 @@ class TestClassifierExplain:
 
     def test_undecodable_module_yields_invalid_evidence(self):
         classifier = MinerClassifier(database=SignatureDatabase())
-        classification, evidence = classifier.explain_wasm(b"not wasm")
-        assert not classification.is_miner
+        miner, (evidence,) = _walk_wasm(classifier, [b"not wasm"])
+        assert miner is None
+        assert evidence.to_dict() == oracles.explain_wasm(classifier, b"not wasm")[1].to_dict()
         assert evidence.verdict == "invalid"
 
     def test_explain_page_mirrors_page_is_miner(
@@ -146,14 +168,18 @@ class TestClassifierExplain:
     ):
         classifier = MinerClassifier(database=signature_db)
         dumps = [benign_wasm, coinhive_wasm]
-        miner, evidence = classifier.explain_page(dumps)
-        assert miner == classifier.page_is_miner(dumps)
+        miner, evidence = _walk_wasm(classifier, dumps)
+        expected_miner, expected_evidence = oracles.explain_page(classifier, dumps)
+        assert miner == expected_miner == oracles.page_is_miner(classifier, dumps)
         assert miner is not None and miner.is_miner
+        assert [e.to_dict() for e in evidence] == [e.to_dict() for e in expected_evidence]
         assert evidence and evidence[0].verdict == "miner"
 
     def test_explain_page_no_dumps(self, signature_db):
         classifier = MinerClassifier(database=signature_db)
-        assert classifier.explain_page([]) == (None, ())
+        assert classifier.page_decision([]) is None
+        assert _walk_wasm(classifier, []) == (None, ())
+        assert oracles.explain_page(classifier, []) == (None, ())
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +242,20 @@ class TestDynamicExplain:
     def test_explain_matches_is_miner(self, coinhive_wasm, benign_wasm):
         detector = DynamicMinerDetector()
         for module in (coinhive_wasm, benign_wasm):
-            verdict, evidence = detector.explain(module)
-            assert verdict == detector.is_miner(module)
+            verdict, decision = detector.explain(module)
+            expected_verdict, expected = oracles.dynamic_explain(detector, module)
+            assert verdict == expected_verdict == oracles.dynamic_is_miner(detector, module)
+            evidence = _render(decision, ())
+            assert evidence.to_dict() == expected.to_dict()
             assert evidence.detector == "dynamic"
             assert "executed" in dict(evidence.details)
 
     def test_garbage_module_is_invalid(self):
-        verdict, evidence = DynamicMinerDetector().explain(b"garbage")
+        detector = DynamicMinerDetector()
+        verdict, decision = detector.explain(b"garbage")
         assert verdict is False
+        evidence = _render(decision, ())
+        assert evidence.to_dict() == oracles.dynamic_explain(detector, b"garbage")[1].to_dict()
         assert evidence.verdict == "invalid"
 
 
@@ -233,7 +265,7 @@ class TestDynamicExplain:
 
 class TestPoolAttributionExplained:
     def test_explained_attribution_cites_merkle_proof(self, small_chain):
-        from repro.core.pool_association import BlockAttributor
+        from repro.core.pool_association import BlockAttributor, attribution_evidence
         from repro.pool.jobs import build_template
 
         template = build_template(
@@ -242,10 +274,11 @@ class TestPoolAttributionExplained:
         clusters = {template.header.prev_id: {template.merkle_root()}}
         small_chain.force_append(template.to_block(nonce=5))
 
-        attributor = BlockAttributor(chain=small_chain)
-        explained = attributor.attribute_explained(clusters)
-        assert [blk for blk, _ in explained] == attributor.attribute(clusters)
-        ((block, evidence),) = explained
+        (block,) = BlockAttributor(chain=small_chain).attribute(clusters)
+        evidence = attribution_evidence(block, clusters)
+        ((expected_block, expected),) = oracles.attribute_explained(small_chain, clusters)
+        assert block == expected_block
+        assert evidence.to_dict() == expected.to_dict()
         assert evidence.detector == "pool"
         assert evidence.verdict == "attributed"
         details = dict(evidence.details)
@@ -256,7 +289,8 @@ class TestPoolAttributionExplained:
     def test_no_clusters_no_attribution(self, small_chain):
         from repro.core.pool_association import BlockAttributor
 
-        assert BlockAttributor(chain=small_chain).attribute_explained({}) == []
+        assert BlockAttributor(chain=small_chain).attribute({}) == []
+        assert oracles.attribute_explained(small_chain, {}) == []
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,11 @@ class _AlwaysMinerDynamic:
 
     calls = 0
 
-    def is_miner(self, data: bytes) -> bool:
-        type(self).calls += 1
-        return True
-
     def explain(self, data: bytes):
-        from repro.obs.evidence import Evidence
+        from repro.core.dynamic import DynamicDecision
 
-        return True, Evidence(detector="dynamic", verdict="miner", summary="stub")
+        type(self).calls += 1
+        return True, DynamicDecision(True)
 
 
 class TestDetectRequest:
