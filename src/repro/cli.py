@@ -720,18 +720,26 @@ def _fmt_ns(ns: int) -> str:
     return f"{ns / 1e6:.2f}ms"
 
 
+def _load_run(run, allow_torn: bool = False):
+    """The run's ``RunArtifacts``, or ``None`` after printing why not."""
+    from repro.obs.ledger import TornRunError, load_run
+
+    try:
+        return load_run(run, allow_torn=allow_torn)
+    except (TornRunError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}")
+        return None
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.reporting import render_table
     from repro.faults.ledger import FaultLedger
     from repro.obs import analyze
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     manifest = artifacts.manifest
     print(
@@ -867,13 +875,10 @@ def _run_gates(expressions, head, base=None) -> int:
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs import analyze
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        base = load_run(args.base)
-        head = load_run(args.head)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    base = _load_run(args.base)
+    head = _load_run(args.head) if base is not None else None
+    if head is None:
         return 1
 
     mismatches = [
@@ -941,12 +946,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def _cmd_obs_explain(args: argparse.Namespace) -> int:
     from repro.obs.evidence import render_verdict
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     if not artifacts.verdicts:
         print(
@@ -988,12 +990,8 @@ def _cmd_obs_explain(args: argparse.Namespace) -> int:
 
 def _load_run_graph(args: argparse.Namespace):
     """``RunArtifacts`` with a graph, or ``None`` after printing the error."""
-    from repro.obs.ledger import TornRunError, load_run
-
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return None
     if artifacts.graph is None:
         print(
@@ -1156,12 +1154,9 @@ def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.obs import scorecard
     from repro.obs.gates import ClosedView
-    from repro.obs.ledger import TornRunError, load_run
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     try:
         card = scorecard.build_scorecard(artifacts)
@@ -1189,13 +1184,10 @@ def _cmd_obs_scorecard(args: argparse.Namespace) -> int:
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
-    from repro.obs.ledger import TornRunError, load_run
     from repro.service.slo import slo_summary_rows
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     registry = artifacts.registry
     if "service.requests.offered" not in registry.counters:
@@ -1229,12 +1221,8 @@ def _sparkline(values) -> str:
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     import fnmatch
 
-    from repro.obs.ledger import TornRunError, load_run
-
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     series = artifacts.timeseries
     if series is None:
@@ -1341,7 +1329,8 @@ def _render_top(series, window_ticks: int, limit: int) -> str:
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     import time as time_module
 
-    from repro.obs.timeseries import TimeSeriesSchemaError, read_timeseries_jsonl
+    from repro.obs.artifact import ArtifactSchemaError
+    from repro.obs.timeseries import read_timeseries_jsonl
 
     path = pathlib.Path(args.run)
     if path.is_dir():
@@ -1351,7 +1340,7 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         if path.exists():
             try:
                 series = read_timeseries_jsonl(path)
-            except TimeSeriesSchemaError as exc:
+            except ArtifactSchemaError as exc:
                 if args.watch <= 0:
                     print(f"error: {exc}")
                     return 1
@@ -1388,13 +1377,10 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import TornRunError, load_run
     from repro.obs.prom import registry_to_prom
 
-    try:
-        artifacts = load_run(args.run, allow_torn=args.allow_torn)
-    except (TornRunError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}")
+    artifacts = _load_run(args.run, args.allow_torn)
+    if artifacts is None:
         return 1
     text = registry_to_prom(artifacts.registry)
     if args.out:
@@ -1489,6 +1475,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _add_run_argument(
+    parser: argparse.ArgumentParser,
+    torn_help: str,
+    run_help: str = "run directory written by --run-dir",
+) -> None:
+    """The ``RUN`` positional plus ``--allow-torn`` of the run-reading obs commands."""
+    parser.add_argument("run", metavar="RUN", help=run_help)
+    parser.add_argument("--allow-torn", action="store_true", help=torn_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1748,18 +1744,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
     p_report = obs_sub.add_parser("report", help="critical paths, slowest sites, errors")
-    p_report.add_argument("run", metavar="RUN", help="run directory written by --run-dir")
+    _add_run_argument(p_report, "analyze a run directory without a COMPLETE marker")
     p_report.add_argument("--top", type=_positive_int, default=10, help="top-K slowest sites")
     p_report.add_argument(
         "--chrome-trace",
         default=None,
         metavar="PATH",
         help="export the span tree as Chrome trace_event JSON (chrome://tracing, Perfetto)",
-    )
-    p_report.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="analyze a run directory without a COMPLETE marker",
     )
     p_report.set_defaults(func=_cmd_obs_report)
 
@@ -1785,16 +1776,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = obs_sub.add_parser(
         "explain", help="show the evidence chain behind one subject's verdicts"
     )
-    p_explain.add_argument("run", metavar="RUN", help="run directory written by --run-dir")
+    _add_run_argument(
+        p_explain, "read verdicts from a run directory without a COMPLETE marker"
+    )
     p_explain.add_argument(
         "subject",
         metavar="SUBJECT",
         help="crawled domain (or block-<height> for pool attributions)",
-    )
-    p_explain.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="read verdicts from a run directory without a COMPLETE marker",
     )
     p_explain.set_defaults(func=_cmd_obs_explain)
 
@@ -1802,7 +1790,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scorecard",
         help="per-detector precision/recall vs the synthetic ground truth",
     )
-    p_score.add_argument("run", metavar="RUN", help="run directory written by --run-dir")
+    _add_run_argument(p_score, "score a run directory without a COMPLETE marker")
     p_score.add_argument(
         "--fail-on",
         action="append",
@@ -1811,17 +1799,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero when EXPR holds, e.g. 'detector.wasm.recall<0.95' "
         "or 'detection_factor<2'; absolute values only; repeatable",
     )
-    p_score.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="score a run directory without a COMPLETE marker",
-    )
     p_score.set_defaults(func=_cmd_obs_scorecard)
 
     p_slo = obs_sub.add_parser(
         "slo", help="service SLO gates over a `loadgen --run-dir` run"
     )
-    p_slo.add_argument("run", metavar="RUN", help="run directory written by `loadgen --run-dir`")
+    _add_run_argument(
+        p_slo,
+        "gate a run directory without a COMPLETE marker",
+        run_help="run directory written by `loadgen --run-dir`",
+    )
     p_slo.add_argument(
         "--fail-on",
         action="append",
@@ -1831,11 +1818,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'shed_rate>0.25', 'service.reload.mixed_bundle>0'; absolute values "
         "only; repeatable",
     )
-    p_slo.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="gate a run directory without a COMPLETE marker",
-    )
     p_slo.set_defaults(func=_cmd_obs_slo)
 
     p_timeline = obs_sub.add_parser(
@@ -1843,8 +1825,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-metric sparklines over the run's timeseries, with "
         "burn-rate alert annotations",
     )
-    p_timeline.add_argument(
-        "run", metavar="RUN", help="run directory written with --timeseries-interval"
+    _add_run_argument(
+        p_timeline,
+        "read a run directory without a COMPLETE marker",
+        run_help="run directory written with --timeseries-interval",
     )
     p_timeline.add_argument(
         "--metric",
@@ -1873,11 +1857,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="RULE",
         help="exit non-zero if alert RULE fired during the run (repeatable)",
-    )
-    p_timeline.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="read a run directory without a COMPLETE marker",
     )
     p_timeline.set_defaults(func=_cmd_obs_timeline)
 
@@ -1926,7 +1905,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = obs_sub.add_parser(
         "export", help="export run metrics for external dashboard stacks"
     )
-    p_export.add_argument("run", metavar="RUN", help="run directory written by --run-dir")
+    _add_run_argument(p_export, "export a run directory without a COMPLETE marker")
     p_export.add_argument(
         "--format",
         choices=("prom",),
@@ -1935,11 +1914,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument(
         "--out", default=None, metavar="PATH", help="write here instead of stdout"
-    )
-    p_export.add_argument(
-        "--allow-torn",
-        action="store_true",
-        help="export a run directory without a COMPLETE marker",
     )
     p_export.set_defaults(func=_cmd_obs_export)
 
@@ -1950,14 +1924,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def graph_parser(name: str, help_text: str):
         sub_p = graph_sub.add_parser(name, help=help_text)
-        sub_p.add_argument(
-            "run", metavar="RUN", help="run directory written by --run-dir"
-        )
-        sub_p.add_argument(
-            "--allow-torn",
-            action="store_true",
-            help="read a run directory without a COMPLETE marker",
-        )
+        _add_run_argument(sub_p, "read a run directory without a COMPLETE marker")
         return sub_p
 
     pg = graph_parser("neighbors", "one node's edges, both directions")

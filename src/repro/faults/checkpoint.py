@@ -24,6 +24,12 @@ first ``record()`` truncates the file under the new header. Without this
 check, resuming with, say, a different seed would silently splice the old
 run's outcomes into the new run's results.
 
+The journal deliberately stays outside the versioned-JSONL artifact
+contract of :mod:`repro.obs.artifact`: it is an append-only recovery log,
+not a run artifact. A stale fingerprint discards it instead of raising,
+a torn final line is expected and dropped instead of being an error, and
+its records carry a pickle payload rather than a ``to_dict`` schema.
+
 .. warning::
    ``load()`` unpickles journal contents. Only point ``--resume-from``
    (or ``checkpoint_dir``) at directories this tool wrote and that you

@@ -16,7 +16,6 @@ from repro.graph.build import (
 from repro.graph.model import (
     GRAPH_SCHEMA_VERSION,
     Graph,
-    GraphSchemaError,
     parse_graph_jsonl,
     graph_to_jsonl,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "GRAPH_SCHEMA_VERSION",
     "Graph",
     "GraphBuilder",
-    "GraphSchemaError",
     "add_verdict",
     "clusters",
     "evidence_node_id",

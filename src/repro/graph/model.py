@@ -9,21 +9,21 @@ any order (or twice, on resume) to the same graph, and sorted
 serialization then makes ``graph.jsonl`` byte-identical for the same
 seed/config regardless of shard count or executor.
 
-Persistence follows the ledger-wide artifact contract: a compact
-``{"schema_version": N}`` header line, then sorted-key compact JSON lines
-(all nodes sorted by id, then all edges sorted by key). Headerless legacy
-files are tolerated; files from a future schema are rejected with an
-upgrade hint.
+``graph.jsonl`` holds all nodes sorted by id, then all edges sorted by
+key, under the versioned-JSONL contract of :mod:`repro.obs.artifact`; its
+header also counts the nodes and edges.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
+
+from repro.obs.artifact import ArtifactFormat, write_atomic
 
 GRAPH_SCHEMA_VERSION = 1
+
+GRAPH = ArtifactFormat("graph", GRAPH_SCHEMA_VERSION, record_keys=("id", "src"))
 
 #: The node kinds the builder emits. Kept here so queries can validate
 #: ``--to <kind>`` arguments without importing the builder.
@@ -39,10 +39,6 @@ NODE_KINDS = (
     "bundle",
     "block",
 )
-
-
-class GraphSchemaError(ValueError):
-    """graph.jsonl is malformed or from a newer schema."""
 
 
 def node_id(kind: str, key: str) -> str:
@@ -141,100 +137,52 @@ def _flatten(attrs: dict) -> dict:
 # persistence
 
 
-def graph_to_jsonl(graph: Graph) -> str:
-    """Canonical serialization: header, sorted nodes, sorted edges."""
-    lines = [
-        json.dumps(
-            {
-                "edges": len(graph.edges),
-                "nodes": len(graph.nodes),
-                "schema_version": GRAPH_SCHEMA_VERSION,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
+def _records(graph: Graph):
     for nid in sorted(graph.nodes):
         kind, attrs = graph.nodes[nid]
-        lines.append(
-            json.dumps(
-                {"attrs": _flatten(attrs), "id": nid, "kind": kind},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        yield {"attrs": _flatten(attrs), "id": nid, "kind": kind}
     for key in sorted(graph.edges):
         kind, src, dst = key
-        lines.append(
-            json.dumps(
-                {
-                    "attrs": _flatten(graph.edges[key]),
-                    "dst": dst,
-                    "kind": kind,
-                    "src": src,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+        yield {"attrs": _flatten(graph.edges[key]), "dst": dst, "kind": kind, "src": src}
+
+
+def graph_to_jsonl(graph: Graph) -> str:
+    """Canonical serialization: header, sorted nodes, sorted edges."""
+    return GRAPH.encode(_records(graph), edges=len(graph.edges), nodes=len(graph.nodes))
 
 
 def _explode(attrs: dict) -> dict:
     return {name: set(value.split(",")) if value else set() for name, value in attrs.items()}
 
 
-def parse_graph_jsonl(text: str) -> Graph:
-    """Inverse of :func:`graph_to_jsonl` (lossless round-trip).
+def _entry(record: dict) -> tuple:
+    """A decoded line as ``(node id, (kind, attrs))`` or ``(edge key, attrs)``."""
+    if "id" in record:
+        kind = record.get("kind", node_kind(record["id"]))
+        return record["id"], (kind, _explode(record.get("attrs", {})))
+    if "src" in record:
+        key = (record.get("kind", ""), record["src"], record["dst"])
+        return key, _explode(record.get("attrs", {}))
+    raise ValueError("graph line is neither node nor edge")
 
-    Accepts headerless legacy files — node and edge lines always carry
-    ``id`` or ``src``, so the header is unambiguous.
-    """
+
+def _assemble(entries) -> Graph:
     graph = Graph()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        try:
-            first = json.loads(lines[0])
-        except ValueError as exc:
-            raise GraphSchemaError(f"malformed graph line: {lines[0]!r}") from exc
-        if (
-            isinstance(first, dict)
-            and "schema_version" in first
-            and "id" not in first
-            and "src" not in first
-        ):
-            version = first["schema_version"]
-            if not isinstance(version, int) or version < 1:
-                raise GraphSchemaError(f"malformed graph schema header: {lines[0]!r}")
-            if version > GRAPH_SCHEMA_VERSION:
-                raise GraphSchemaError(
-                    f"graph file uses schema v{version}, but this reader only "
-                    f"understands up to v{GRAPH_SCHEMA_VERSION} — upgrade repro"
-                )
-            lines = lines[1:]
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise GraphSchemaError(f"malformed graph line: {line!r}") from exc
-        if "id" in record:
-            graph.nodes[record["id"]] = (
-                record.get("kind", node_kind(record["id"])),
-                _explode(record.get("attrs", {})),
-            )
-        elif "src" in record:
-            key = (record.get("kind", ""), record["src"], record["dst"])
-            graph.edges[key] = _explode(record.get("attrs", {}))
-        else:
-            raise GraphSchemaError(f"graph line is neither node nor edge: {line!r}")
+    for key, value in entries:
+        (graph.edges if isinstance(key, tuple) else graph.nodes)[key] = value
     return graph
+
+
+def parse_graph_jsonl(text: str) -> Graph:
+    """Inverse of :func:`graph_to_jsonl` (lossless round-trip)."""
+    return _assemble(GRAPH.decode(text, _entry)[1])
 
 
 def write_graph_jsonl(path, graph: Graph) -> int:
     """Write a graph file; returns the node + edge count."""
-    pathlib.Path(path).write_text(graph_to_jsonl(graph))
+    write_atomic(path, graph_to_jsonl(graph))
     return len(graph.nodes) + len(graph.edges)
 
 
 def read_graph_jsonl(path) -> Graph:
-    return parse_graph_jsonl(pathlib.Path(path).read_text())
+    return _assemble(GRAPH.read(path, _entry)[1])

@@ -14,6 +14,9 @@ The three legs of production-scale campaign accounting:
   plus the ``--profile`` per-stage latency table,
 - :mod:`repro.obs.ledger` — persisted run directories (``--run-dir``):
   manifest, metrics, trace, profile, fault ledger, atomic ``COMPLETE``,
+- :mod:`repro.obs.artifact` — the versioned-JSONL contract every run-dir
+  artifact is written and read through, with its one
+  :class:`ArtifactSchemaError`,
 - :mod:`repro.obs.analyze` — critical-path attribution, Chrome-trace
   export, and cross-run diffing,
 - :mod:`repro.obs.gates` — the one ``--fail-on`` / alert-rule gate
@@ -28,6 +31,7 @@ from repro.obs.alerts import (
     AlertRuleSet,
     default_service_rules,
 )
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.clock import PerfClock, TickClock, get_clock, set_clock, use_clock
 from repro.obs.gates import Gate, Verdict
 from repro.obs.heartbeat import ProgressReporter
@@ -56,7 +60,6 @@ from repro.obs.timeseries import (
     TickRecord,
     TimeSeries,
     TimeSeriesRecorder,
-    TimeSeriesSchemaError,
     parse_dimensions,
     read_timeseries_jsonl,
     write_timeseries_jsonl,
@@ -64,7 +67,6 @@ from repro.obs.timeseries import (
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     Span,
-    TraceSchemaError,
     Tracer,
     parse_jsonl,
     read_jsonl,
@@ -75,6 +77,7 @@ __all__ = [
     "AlertEvent",
     "AlertRule",
     "AlertRuleSet",
+    "ArtifactSchemaError",
     "DEFAULT_BOUNDS",
     "Gate",
     "Histogram",
@@ -95,9 +98,7 @@ __all__ = [
     "TickRecord",
     "TimeSeries",
     "TimeSeriesRecorder",
-    "TimeSeriesSchemaError",
     "TornRunError",
-    "TraceSchemaError",
     "Tracer",
     "Verdict",
     "default_service_rules",

@@ -9,12 +9,10 @@ feature value vs. threshold, cluster id + Merkle root) that produced the
 conclusion. A :class:`VerdictRecord` bundles one subject's verdict (a
 crawled domain, or an attributed block) with its evidence chain.
 
-Verdicts persist as ``verdicts.jsonl`` in the run ledger: the first line
-is a ``{"schema_version": 1}`` header, then one verdict object per line
-(sorted keys, compact separators), so the file is byte-identical for the
-same seed + config. Headerless legacy files still parse; files from a
-*newer* schema raise :class:`VerdictSchemaError` instead of being
-half-read — the same contract as ``trace.jsonl``.
+Verdicts persist as ``verdicts.jsonl`` in the run ledger, one verdict
+object per line under the versioned-JSONL contract of
+:mod:`repro.obs.artifact`, so the file is byte-identical for the same
+seed + config.
 
 The disabled-observability path never builds these objects: campaigns
 only collect evidence when their ``Obs`` context is enabled, so
@@ -24,10 +22,10 @@ only collect evidence when their ``Obs`` context is enabled, so
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass
 from typing import Iterable
+
+from repro.obs.artifact import ArtifactFormat, write_atomic
 
 #: Version of the on-disk verdict format this module reads and writes.
 EVIDENCE_SCHEMA_VERSION = 1
@@ -49,9 +47,7 @@ _VERDICT_FIELDS = (
     "evidence",
 )
 
-
-class VerdictSchemaError(ValueError):
-    """A verdicts file declares a schema this reader does not understand."""
+VERDICTS = ArtifactFormat("verdicts", EVIDENCE_SCHEMA_VERSION, record_keys=("subject",))
 
 
 @dataclass(frozen=True)
@@ -161,52 +157,28 @@ class VerdictRecord:
 
 
 # ---------------------------------------------------------------------------
-# serialization (mirrors repro.obs.trace's versioned JSONL contract)
+# serialization
 
 
 def verdicts_to_jsonl(records: Iterable[VerdictRecord]) -> str:
-    """Serialize verdicts as versioned JSONL (header line first)."""
-    header = json.dumps(
-        {"schema_version": EVIDENCE_SCHEMA_VERSION}, separators=(",", ":")
-    )
-    return header + "\n" + "".join(
-        json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        for record in records
-    )
+    return VERDICTS.encode(record.to_dict() for record in records)
 
 
 def parse_verdicts_jsonl(text: str) -> list:
-    """Inverse of :func:`verdicts_to_jsonl` (lossless round-trip).
-
-    Accepts both headered files and legacy headerless ones — a verdict
-    line always carries ``subject``, so the header is unambiguous.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        first = json.loads(lines[0])
-        if isinstance(first, dict) and "schema_version" in first and "subject" not in first:
-            version = first["schema_version"]
-            if not isinstance(version, int) or version < 1:
-                raise VerdictSchemaError(f"malformed verdict schema header: {lines[0]!r}")
-            if version > EVIDENCE_SCHEMA_VERSION:
-                raise VerdictSchemaError(
-                    f"verdicts file uses schema v{version}, but this reader only "
-                    f"understands up to v{EVIDENCE_SCHEMA_VERSION} — upgrade repro"
-                )
-            lines = lines[1:]
-    return [VerdictRecord.from_dict(json.loads(line)) for line in lines]
+    """Inverse of :func:`verdicts_to_jsonl` (lossless round-trip)."""
+    return VERDICTS.decode(text, VerdictRecord.from_dict)[1]
 
 
 def write_verdicts_jsonl(path, records: Iterable[VerdictRecord]) -> int:
     """Write a verdicts file; returns the record count."""
     records = list(records)
-    pathlib.Path(path).write_text(verdicts_to_jsonl(records))
+    write_atomic(path, verdicts_to_jsonl(records))
     return len(records)
 
 
 def read_verdicts_jsonl(path) -> list:
     """Load a ``verdicts.jsonl`` back into :class:`VerdictRecord` objects."""
-    return parse_verdicts_jsonl(pathlib.Path(path).read_text())
+    return VERDICTS.read(path, VerdictRecord.from_dict)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,21 @@ self-describing and comparable after the process exits:
                       and the list of artifact files actually written
       metrics.json    lossless MetricsRegistry export (counters, gauges,
                       integer-ns histogram buckets)
-      trace.jsonl     versioned span JSONL (schema header line)
+      trace.jsonl     spans
       profile.json    numeric per-stage latency stats
       ledger.json     fault-ledger counters
       verdicts.jsonl  per-subject detection verdicts with evidence chains
-                      (observed runs only; versioned JSONL)
+                      (observed runs only)
+      timeseries.jsonl  windowed telemetry ticks and alert events (runs
+                      recorded with --timeseries-interval only)
       graph.jsonl     campaign attribution graph derived from the verdict
                       evidence plus the population's includer edge layer
-                      (observed runs only; versioned JSONL)
+                      (observed runs only)
       COMPLETE        atomic completion marker
+
+The ``*.jsonl`` files follow the versioned-JSONL contract of
+:mod:`repro.obs.artifact`; the manifest's ``schema_version`` goes through
+the same version check.
 
 The ``COMPLETE`` marker is written last via ``os.replace`` and names the
 run id, so a torn run (crash mid-write, or a marker left over from a
@@ -30,14 +36,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import subprocess
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from repro.faults.ledger import FaultLedger
-from repro.graph.model import Graph, read_graph_jsonl, write_graph_jsonl
+# a module import: repro.graph.model itself imports repro.obs.artifact, so
+# its names may not exist yet while this package initializes
+from repro.graph import model as graph_model
+from repro.obs.artifact import check_version, read_json, write_atomic
 from repro.obs.evidence import read_verdicts_jsonl, write_verdicts_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_payload
@@ -72,10 +80,6 @@ EXECUTION_PARAMS = frozenset(
 
 class TornRunError(RuntimeError):
     """The run directory has no (or a mismatched) ``COMPLETE`` marker."""
-
-
-class RunSchemaError(ValueError):
-    """The run directory was written by a newer obs schema."""
 
 
 def campaign_fingerprint(params: dict) -> str:
@@ -154,12 +158,9 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
-        version = payload.get("schema_version", 1)
-        if not isinstance(version, int) or version > OBS_SCHEMA_VERSION:
-            raise RunSchemaError(
-                f"run manifest uses obs schema v{version}, but this reader only "
-                f"understands up to v{OBS_SCHEMA_VERSION} — upgrade repro"
-            )
+        version = check_version(
+            payload.get("schema_version", 1), OBS_SCHEMA_VERSION, "manifest.json"
+        )
         return cls(
             run_id=payload["run_id"],
             fingerprint=payload["fingerprint"],
@@ -184,12 +185,12 @@ class RunArtifacts:
     verdicts: list = field(default_factory=list)
     timeseries: Optional[TimeSeries] = None
     #: attribution graph (``graph.jsonl``); ``None`` when the run has none
-    graph: Optional[Graph] = None
+    graph: Optional[graph_model.Graph] = None
     complete: bool = True
 
 
 def _dump_json(path: pathlib.Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_run(
@@ -200,7 +201,7 @@ def write_run(
     fault_ledger: Optional[FaultLedger] = None,
     verdicts=None,
     timeseries: Optional[TimeSeries] = None,
-    graph: Optional[Graph] = None,
+    graph: Optional[graph_model.Graph] = None,
 ) -> pathlib.Path:
     """Persist one run's artifacts; the ``COMPLETE`` marker lands last.
 
@@ -243,7 +244,7 @@ def write_run(
     manifest = replace(manifest, artifacts=tuple(artifacts))
     _dump_json(directory / "manifest.json", manifest.to_dict())
     _dump_json(directory / "metrics.json", registry.to_dict())
-    (directory / "trace.jsonl").write_text(spans_to_jsonl(spans))
+    write_atomic(directory / "trace.jsonl", spans_to_jsonl(spans))
     _dump_json(directory / "profile.json", profile_payload(registry))
     _dump_json(directory / "ledger.json", (fault_ledger or FaultLedger()).to_dict())
     if verdicts:
@@ -251,10 +252,8 @@ def write_run(
     if has_timeseries:
         write_timeseries_jsonl(timeseries_path, timeseries)
     if has_graph:
-        write_graph_jsonl(graph_path, graph)
-    tmp = directory / (COMPLETE_MARKER + ".tmp")
-    tmp.write_text(manifest.run_id + "\n")
-    os.replace(tmp, marker)
+        graph_model.write_graph_jsonl(graph_path, graph)
+    write_atomic(marker, manifest.run_id + "\n")
     return directory
 
 
@@ -264,7 +263,7 @@ def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{directory} is not a run directory (no manifest.json)")
-    manifest = RunManifest.from_dict(json.loads(manifest_path.read_text()))
+    manifest = read_json(manifest_path, RunManifest.from_dict)
 
     marker = directory / COMPLETE_MARKER
     complete = False
@@ -287,7 +286,7 @@ def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
 
     metrics_path = directory / "metrics.json"
     registry = (
-        MetricsRegistry.from_dict(json.loads(metrics_path.read_text()))
+        read_json(metrics_path, MetricsRegistry.from_dict)
         if metrics_path.exists()
         else MetricsRegistry()
     )
@@ -295,12 +294,12 @@ def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
     spans = read_jsonl(trace_path) if trace_path.exists() else []
     ledger_path = directory / "ledger.json"
     fault_ledger = (
-        FaultLedger.from_dict(json.loads(ledger_path.read_text()))
+        read_json(ledger_path, FaultLedger.from_dict)
         if ledger_path.exists()
         else FaultLedger()
     )
     profile_path = directory / "profile.json"
-    profile = json.loads(profile_path.read_text()) if profile_path.exists() else []
+    profile = read_json(profile_path) if profile_path.exists() else []
     verdicts_path = directory / "verdicts.jsonl"
     verdicts = read_verdicts_jsonl(verdicts_path) if verdicts_path.exists() else []
     timeseries_path = directory / "timeseries.jsonl"
@@ -308,7 +307,7 @@ def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
         read_timeseries_jsonl(timeseries_path) if timeseries_path.exists() else None
     )
     graph_path = directory / "graph.jsonl"
-    graph = read_graph_jsonl(graph_path) if graph_path.exists() else None
+    graph = graph_model.read_graph_jsonl(graph_path) if graph_path.exists() else None
     return RunArtifacts(
         path=directory,
         manifest=manifest,

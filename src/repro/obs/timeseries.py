@@ -15,10 +15,11 @@ previous tick:
   so per-window p50/p90/p99 are answerable without the cumulative tail.
 
 Ticks land in a bounded ring buffer (``capacity`` most recent ticks) and
-persist as a schema-versioned ``timeseries.jsonl`` run-dir artifact that
-obeys the registry merge law: merging two series merges their ticks
-pointwise (counters add, gauges max, histogram buckets add), exactly
-associative and commutative with the empty series as identity.
+persist as a ``timeseries.jsonl`` run-dir artifact (the versioned-JSONL
+contract of :mod:`repro.obs.artifact`, its header carrying the tick
+interval) that obeys the registry merge law: merging two series merges
+their ticks pointwise (counters add, gauges max, histogram buckets add),
+exactly associative and commutative with the empty series as identity.
 
 Metric names carry *service dimensions* inline
 (``service.tenant.tenant-0.offered``, ``service.tier.static-only``,
@@ -35,26 +36,27 @@ do the same under a :class:`~repro.obs.clock.TickClock`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import pathlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.alerts import AlertEvent, AlertRuleSet
+from repro.obs.artifact import ArtifactFormat, ArtifactSchemaError, dumps, write_atomic
 from repro.obs.clock import get_clock
 
 #: Version of the ``timeseries.jsonl`` line schema.
 TIMESERIES_SCHEMA_VERSION = 1
 
+TIMESERIES = ArtifactFormat(
+    "timeseries", TIMESERIES_SCHEMA_VERSION, record_keys=("tick", "alert")
+)
+
 #: Metric-name segments that introduce a one-segment dimension value.
 DIMENSION_TOKENS = ("tenant", "tier", "bundle", "stratum")
-
-
-class TimeSeriesSchemaError(ValueError):
-    """A timeseries file declares a schema this reader does not understand."""
 
 
 def parse_dimensions(name: str):
@@ -242,24 +244,39 @@ def _alert_sort_key(event: AlertEvent):
 # the recorder's per-tick flush, so the two can never drift apart
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _header_line(interval: float) -> str:
-    return _dumps({"schema_version": TIMESERIES_SCHEMA_VERSION, "interval": interval})
-
-
 def _record_line(record: TickRecord) -> str:
-    return _dumps(record.to_dict())
+    return dumps(record.to_dict())
 
 
 def _alert_line(event: AlertEvent) -> str:
-    return _dumps({"alert": event.to_dict()})
+    return dumps({"alert": event.to_dict()})
 
 
-def _join_lines(header: str, records, alerts) -> str:
-    return "\n".join([header, *records, *alerts]) + "\n"
+def _entry(payload: dict):
+    """A decoded line as a :class:`TickRecord` or an :class:`AlertEvent`."""
+    if "alert" in payload:
+        return AlertEvent.from_dict(payload["alert"])
+    if "tick" in payload:
+        return TickRecord.from_dict(payload)
+    raise ValueError("unrecognized timeseries line")
+
+
+def _series(header: dict, entries: list) -> "TimeSeries":
+    """Assemble decoded lines into a series, ticks and alerts in order."""
+    records = sorted((e for e in entries if isinstance(e, TickRecord)), key=lambda r: r.tick)
+    alerts = sorted((e for e in entries if isinstance(e, AlertEvent)), key=_alert_sort_key)
+    interval = header.get("interval")
+    if interval is None:
+        # legacy headerless file: recover the tick width from the first
+        # record's (end time / tick count) ratio, defaulting to 1s
+        interval = 1.0
+        for record in records:
+            if record.time > 0:
+                interval = record.time / (record.tick + 1)
+                break
+    elif isinstance(interval, bool) or not isinstance(interval, (int, float)):
+        raise ArtifactSchemaError(f"timeseries.jsonl line 1: malformed interval {interval!r}")
+    return TimeSeries(interval=float(interval), records=records, alerts=alerts)
 
 
 @dataclass
@@ -323,79 +340,27 @@ class TimeSeries:
     # -- serialization ----------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        return _join_lines(
-            _header_line(self.interval),
-            [_record_line(r) for r in sorted(self.records, key=lambda r: r.tick)],
-            [_alert_line(e) for e in sorted(self.alerts, key=_alert_sort_key)],
+        return TIMESERIES.encode_lines(
+            itertools.chain(
+                (_record_line(r) for r in sorted(self.records, key=lambda r: r.tick)),
+                (_alert_line(e) for e in sorted(self.alerts, key=_alert_sort_key)),
+            ),
+            interval=self.interval,
         )
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TimeSeries":
-        lines = [line for line in text.splitlines() if line.strip()]
-        interval = None
-        records = []
-        alerts = []
-        for index, line in enumerate(lines):
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                raise TimeSeriesSchemaError(
-                    f"malformed timeseries line {index + 1}: {line!r}"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise TimeSeriesSchemaError(
-                    f"malformed timeseries line {index + 1}: {line!r}"
-                )
-            if index == 0 and "schema_version" in payload and "tick" not in payload:
-                version = payload["schema_version"]
-                if not isinstance(version, int):
-                    raise TimeSeriesSchemaError(
-                        f"malformed timeseries schema header: {line!r}"
-                    )
-                if version > TIMESERIES_SCHEMA_VERSION:
-                    raise TimeSeriesSchemaError(
-                        f"timeseries file uses schema v{version}, but this reader "
-                        f"only understands up to v{TIMESERIES_SCHEMA_VERSION} — "
-                        f"upgrade repro"
-                    )
-                interval = payload.get("interval")
-                continue
-            if "alert" in payload:
-                alerts.append(AlertEvent.from_dict(payload["alert"]))
-            elif "tick" in payload:
-                records.append(TickRecord.from_dict(payload))
-            else:
-                raise TimeSeriesSchemaError(
-                    f"unrecognized timeseries line {index + 1}: {line!r}"
-                )
-        if interval is None:
-            # legacy headerless file: recover the tick width from the first
-            # record's (end time / tick count) ratio, defaulting to 1s
-            interval = 1.0
-            for record in records:
-                if record.time > 0:
-                    interval = record.time / (record.tick + 1)
-                    break
-        records.sort(key=lambda r: r.tick)
-        alerts.sort(key=_alert_sort_key)
-        return cls(interval=float(interval), records=records, alerts=alerts)
-
-
-def _write_atomic(path, text: str) -> None:
-    path = pathlib.Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+        return _series(*TIMESERIES.decode(text, _entry))
 
 
 def write_timeseries_jsonl(path, series: TimeSeries) -> int:
     """Atomically persist a series; returns the number of tick records."""
-    _write_atomic(path, series.to_jsonl())
+    write_atomic(path, series.to_jsonl())
     return len(series.records)
 
 
 def read_timeseries_jsonl(path) -> TimeSeries:
-    return TimeSeries.from_jsonl(pathlib.Path(path).read_text())
+    return _series(*TIMESERIES.read(path, _entry))
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +452,11 @@ class TimeSeriesRecorder:
         without re-encoding the retained ring.
         """
         alerts = sorted(self._alert_lines, key=lambda pair: pair[0])
-        _write_atomic(
+        write_atomic(
             self.flush_path,
-            _join_lines(
-                _header_line(self.interval),
-                self._record_lines,
-                [line for _, line in alerts],
+            TIMESERIES.encode_lines(
+                itertools.chain(self._record_lines, (line for _, line in alerts)),
+                interval=self.interval,
             ),
         )
 

@@ -14,19 +14,16 @@ durations reflect the real schedule. :func:`read_jsonl` inverts
 :meth:`Tracer.write_jsonl` losslessly (floats round-trip exactly through
 JSON's shortest-repr encoding).
 
-File format: the first line is a ``{"schema_version": 1}`` header, then
-one span object per line. Headerless files (written before the header
-existed) still parse; a file from a *newer* schema raises
-:class:`TraceSchemaError` instead of being half-read.
+File format: one span object per line under the versioned-JSONL contract
+of :mod:`repro.obs.artifact`.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.obs.artifact import ArtifactFormat, write_atomic
 from repro.obs.clock import get_clock
 
 #: Version of the on-disk trace format this module reads and writes.
@@ -34,9 +31,7 @@ TRACE_SCHEMA_VERSION = 1
 
 _FIELDS = ("span_id", "parent_id", "name", "start", "end", "tags")
 
-
-class TraceSchemaError(ValueError):
-    """A trace file declares a schema this reader does not understand."""
+TRACE = ArtifactFormat("trace", TRACE_SCHEMA_VERSION, record_keys=("span_id",))
 
 
 @dataclass
@@ -167,41 +162,19 @@ class Tracer:
 
     def write_jsonl(self, path) -> int:
         """Write a header + one span object per line; returns the span count."""
-        pathlib.Path(path).write_text(self.to_jsonl())
+        write_atomic(path, self.to_jsonl())
         return len(self.spans)
 
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """Serialize spans as versioned JSONL (header line first)."""
-    header = json.dumps({"schema_version": TRACE_SCHEMA_VERSION}, separators=(",", ":"))
-    return header + "\n" + "".join(
-        json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        for span in spans
-    )
+    return TRACE.encode(span.to_dict() for span in spans)
 
 
 def parse_jsonl(text: str) -> list:
-    """Inverse of :func:`spans_to_jsonl` (lossless round-trip).
-
-    Accepts both headered files and legacy headerless ones — a span line
-    always carries ``span_id``, so the header is unambiguous.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines:
-        first = json.loads(lines[0])
-        if isinstance(first, dict) and "schema_version" in first and "span_id" not in first:
-            version = first["schema_version"]
-            if not isinstance(version, int) or version < 1:
-                raise TraceSchemaError(f"malformed trace schema header: {lines[0]!r}")
-            if version > TRACE_SCHEMA_VERSION:
-                raise TraceSchemaError(
-                    f"trace file uses schema v{version}, but this reader only "
-                    f"understands up to v{TRACE_SCHEMA_VERSION} — upgrade repro"
-                )
-            lines = lines[1:]
-    return [Span.from_dict(json.loads(line)) for line in lines]
+    """Inverse of :func:`spans_to_jsonl` (lossless round-trip)."""
+    return TRACE.decode(text, Span.from_dict)[1]
 
 
 def read_jsonl(path) -> list:
     """Load a ``--trace-out`` file back into :class:`Span` objects."""
-    return parse_jsonl(pathlib.Path(path).read_text())
+    return TRACE.read(path, Span.from_dict)[1]

@@ -9,6 +9,7 @@ detection, and obs-flag plumbing across subcommands.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -265,6 +266,30 @@ class TestObsExplain:
         capsys.readouterr()
         assert main(["obs", "explain", str(run), "anything"]) == 1
         assert "no verdicts.jsonl" in capsys.readouterr().out
+
+
+class TestMalformedArtifact:
+    """A bad record line is one ``error:`` line naming its file and line."""
+
+    @pytest.mark.parametrize("artifact, line", [("verdicts.jsonl", "{}"), ("trace.jsonl", "5")])
+    @pytest.mark.parametrize("command", ["explain", "report"])
+    def test_bad_record_line_exits_1_without_traceback(
+        self, verdict_run, tmp_path, capsys, artifact, line, command
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(verdict_run, run)
+        path = run / artifact
+        with path.open("a") as handle:
+            handle.write(line + "\n")
+        number = len(path.read_text().splitlines())
+        argv = ["obs", command, str(run), *(["shop.example"] if command == "explain" else [])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        errors = [text for text in out.splitlines() if text.startswith("error:")]
+        assert len(errors) == 1, out
+        assert f"line {number} of {path}" in errors[0]
+        assert "Traceback" not in out + err
 
 
 class TestObsScorecard:

@@ -16,11 +16,11 @@ import pytest
 
 from repro.graph.model import (
     Graph,
-    GraphSchemaError,
     graph_to_jsonl,
     parse_graph_jsonl,
     read_graph_jsonl,
 )
+from repro.obs.artifact import ArtifactSchemaError
 from repro.graph.query import clusters, find_path, graph_metrics, neighbors
 from repro.internet.includers import build_includer_layer, layer_for_spec
 from repro.internet.population import DATASETS, build_population
@@ -94,12 +94,14 @@ class TestSerialization:
         assert _canon(legacy) == _canon(graph)
 
     def test_future_schema_is_rejected_with_upgrade_hint(self):
-        with pytest.raises(GraphSchemaError, match="upgrade repro"):
+        with pytest.raises(ArtifactSchemaError, match="upgrade repro"):
             parse_graph_jsonl('{"edges":0,"nodes":0,"schema_version":99}\n')
 
     def test_malformed_line_is_rejected(self):
-        with pytest.raises(GraphSchemaError, match="malformed"):
+        with pytest.raises(ArtifactSchemaError, match="malformed"):
             parse_graph_jsonl('{"edges":0,"nodes":0,"schema_version":1}\nnot json\n')
+        with pytest.raises(ArtifactSchemaError, match="line 2 .*missing field 'dst'"):
+            parse_graph_jsonl('{"edges":1,"nodes":0,"schema_version":1}\n{"src":"domain:a"}\n')
 
     def test_attr_values_fold_commas_and_newlines(self):
         graph = Graph()

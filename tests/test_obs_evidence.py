@@ -37,11 +37,11 @@ from repro.core.nocoin import (
     parse_rule,
 )
 from repro.core.signatures import SignatureDatabase
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.evidence import (
     EVIDENCE_SCHEMA_VERSION,
     Evidence,
     VerdictRecord,
-    VerdictSchemaError,
     parse_verdicts_jsonl,
     render_verdict,
     verdicts_to_jsonl,
@@ -393,17 +393,22 @@ class TestVerdictSerialization:
             f'"schema_version":{EVIDENCE_SCHEMA_VERSION}',
             f'"schema_version":{EVIDENCE_SCHEMA_VERSION + 1}',
         )
-        with pytest.raises(VerdictSchemaError, match="upgrade repro"):
+        with pytest.raises(ArtifactSchemaError, match="upgrade repro"):
             parse_verdicts_jsonl(bumped)
 
     def test_malformed_header_rejected(self):
-        with pytest.raises(VerdictSchemaError, match="malformed"):
+        with pytest.raises(ArtifactSchemaError, match="malformed"):
             parse_verdicts_jsonl('{"schema_version":"two"}\n')
 
     def test_unknown_verdict_fields_rejected(self):
         record = json.dumps({"subject": "a.com", "mystery": 1})
         with pytest.raises(ValueError, match="unknown verdict fields"):
             parse_verdicts_jsonl(record + "\n")
+
+    def test_missing_required_field_rejected(self):
+        header = verdicts_to_jsonl([])
+        with pytest.raises(ArtifactSchemaError, match="line 2 .*missing field 'subject'"):
+            parse_verdicts_jsonl(header + "{}\n")
 
     def test_empty_file_parses_to_nothing(self):
         assert parse_verdicts_jsonl("") == []

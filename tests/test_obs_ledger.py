@@ -7,13 +7,13 @@ import json
 import pytest
 
 from repro.faults.ledger import FaultLedger
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.ledger import (
     COMPLETE_MARKER,
     EXECUTION_PARAMS,
     OBS_SCHEMA_VERSION,
     RunManifest,
-    RunSchemaError,
     TornRunError,
     campaign_fingerprint,
     load_run,
@@ -110,7 +110,7 @@ class TestManifest:
     def test_future_schema_version_rejected(self):
         payload = RunManifest.build("crawl", PARAMS, git_describe="g").to_dict()
         payload["schema_version"] = OBS_SCHEMA_VERSION + 1
-        with pytest.raises(RunSchemaError, match="upgrade repro"):
+        with pytest.raises(ArtifactSchemaError, match="upgrade repro"):
             RunManifest.from_dict(payload)
 
 
@@ -176,5 +176,5 @@ class TestWriteLoad:
         payload = json.loads((run / "manifest.json").read_text())
         payload["schema_version"] = OBS_SCHEMA_VERSION + 1
         (run / "manifest.json").write_text(json.dumps(payload))
-        with pytest.raises(RunSchemaError):
+        with pytest.raises(ArtifactSchemaError):
             load_run(run)

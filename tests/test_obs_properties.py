@@ -23,12 +23,12 @@ import json
 
 import pytest
 
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     Span,
     Tracer,
-    TraceSchemaError,
     parse_jsonl,
     spans_to_jsonl,
 )
@@ -199,7 +199,7 @@ def test_future_schema_versions_are_rejected(spans, version):
         json.dumps({"schema_version": version}, separators=(",", ":")),
         1,
     )
-    with pytest.raises(TraceSchemaError, match="upgrade repro"):
+    with pytest.raises(ArtifactSchemaError, match="upgrade repro"):
         parse_jsonl(bumped)
 
 

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
@@ -23,7 +24,6 @@ from repro.obs.timeseries import (
     TickRecord,
     TimeSeries,
     TimeSeriesRecorder,
-    TimeSeriesSchemaError,
     parse_dimensions,
     read_timeseries_jsonl,
     write_timeseries_jsonl,
@@ -314,14 +314,18 @@ class TestJsonlRoundTrip:
         future = json.dumps(
             {"schema_version": TIMESERIES_SCHEMA_VERSION + 1, "interval": 1.0}
         )
-        with pytest.raises(TimeSeriesSchemaError, match="upgrade repro"):
+        with pytest.raises(ArtifactSchemaError, match="upgrade repro"):
             TimeSeries.from_jsonl(future)
 
     def test_malformed_line_is_rejected(self):
-        with pytest.raises(TimeSeriesSchemaError, match="malformed"):
+        with pytest.raises(ArtifactSchemaError, match="malformed"):
             TimeSeries.from_jsonl("not json\n")
-        with pytest.raises(TimeSeriesSchemaError, match="unrecognized"):
+        with pytest.raises(ArtifactSchemaError, match="unrecognized"):
             TimeSeries.from_jsonl('{"neither": "tick nor alert"}\n')
+        with pytest.raises(ArtifactSchemaError, match="line 1 .*missing field 'time'"):
+            TimeSeries.from_jsonl('{"tick": 0}\n')
+        with pytest.raises(ArtifactSchemaError, match="malformed interval 'x'"):
+            TimeSeries.from_jsonl('{"interval": "x", "schema_version": 1}\n')
 
     def test_alert_events_round_trip(self):
         from repro.obs.alerts import AlertEvent

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.artifact import ArtifactSchemaError
 from repro.obs.clock import PerfClock, TickClock, get_clock, set_clock, use_clock
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.profile import NULL_OBS, make_obs, profile_rows, render_profile
@@ -95,6 +96,12 @@ def test_trace_file_round_trip(tmp_path):
 def test_span_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown span fields"):
         Span.from_dict({"span_id": "a", "name": "x", "start": 0.0, "bogus": 1})
+
+
+def test_trace_line_missing_a_field_is_rejected():
+    text = Tracer().to_jsonl() + '{"span_id":"a","start":0.0}\n'
+    with pytest.raises(ArtifactSchemaError, match="line 2 .*missing field 'name'"):
+        parse_jsonl(text)
 
 
 def test_adopt_reroots_orphans_only():
