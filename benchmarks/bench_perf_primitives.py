@@ -343,3 +343,60 @@ def test_fastpath_speedup_summary():
     assert payload["filter_match_speedup"] >= 3.0, payload
     assert payload["static_scan_speedup"] >= 1.0, payload
     assert payload["signature_memo_speedup"] >= 1.0, payload
+
+
+# -- compiled interpreter vs the name-dispatch oracle -------------------------
+
+
+def test_interpreter_speedup_summary():
+    """Dynamic profiling of the coinhive kernel, compiled vs oracle.
+
+    Min-of-7 wall time of ``profile_execution`` (decode excluded, compile
+    included: each run builds a fresh instance, as the detector does) on
+    the coinhive module, against the name-dispatch interpreter in
+    ``tests/oracles/wasm_interp.py``. Both must report the same profile;
+    the acceptance gate pins the speedup at >= 3x and CI reads the
+    emitted JSON.
+    """
+    import time
+
+    from conftest import emit, emit_json
+
+    from repro.core.dynamic import profile_execution
+    from tests.oracles import wasm_interp
+
+    module = decode_module(_WASM)
+    iterations = 16
+
+    def best_of(fn, repeats=7):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    profile = profile_execution(module, iterations)
+    assert profile == wasm_interp.profile_execution(module, iterations)[0]
+    compiled = best_of(lambda: profile_execution(module, iterations))
+    reference = best_of(lambda: wasm_interp.profile_execution(module, iterations))
+
+    payload = {
+        "module": "coinhive/0",
+        "iterations": iterations,
+        "executed": profile.executed,
+        "interpreter_speedup": round(reference / compiled, 2),
+        "instructions_per_s": {
+            "compiled": round(profile.executed / compiled),
+            "oracle": round(profile.executed / reference),
+        },
+    }
+    emit_json("interpreter", payload)
+    emit(
+        "interpreter",
+        f"dynamic profile of coinhive/0 ({profile.executed} executed instructions): "
+        f"{payload['interpreter_speedup']}x — compiled "
+        f"{payload['instructions_per_s']['compiled']:,}/s, oracle "
+        f"{payload['instructions_per_s']['oracle']:,}/s",
+    )
+    assert payload["interpreter_speedup"] >= 3.0, payload

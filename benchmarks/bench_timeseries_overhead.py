@@ -6,10 +6,12 @@ them without scraping tables:
 1. the microcost of one ``poll`` that crosses a tick boundary over a
    service-shaped registry (the per-tick snapshot: counter deltas,
    histogram bucket diffs, burn-rate rule evaluation),
-2. the same poll with a ``flush_path``, so every tick also rewrites
-   ``timeseries.jsonl`` the way ``obs top --watch`` follows it — measured
-   with 30 and with 300 ticks retained in the ring, so a flush whose cost
-   grows with the ring shows up as a gap between the two, and
+2. the same poll with a ``flush_path``, so every tick also appends its
+   lines to ``timeseries.jsonl`` the way ``obs top --watch`` follows it
+   (an atomic rewrite only on the first flush and once ``capacity`` lines
+   have been appended since the last one) — measured with 30 and with
+   300 ticks retained in the ring, so a flush whose cost grows with the
+   ring shows up as a gap between the two, and
 3. the end-to-end cost a 0.5s-interval recorder adds to a seeded loadgen
    campaign, as a ratio against the same campaign with telemetry off.
 

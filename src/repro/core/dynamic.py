@@ -8,47 +8,25 @@ executed behaviour does not. This module runs the module in the
 which is robust against dead-code padding (and is how later academic work,
 e.g. MineSweeper's CPU-cache profiling, hardened the idea).
 
+The interpreter compiles each function once into handlers whose
+executed-mix category is fixed at compile time, and keeps the per-category
+tally on the :class:`~repro.wasm.interp.Instance` (``Instance.counts``);
+:func:`profile_execution` reads it directly. Fuel is charged once per
+instruction, so a kernel that runs out of fuel is profiled up to exactly
+the instruction where the budget ended.
+
 ``benchmarks/bench_ext_dynamic_detection.py`` compares static and dynamic
 classification on a dead-code-padded corpus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.features import Check, at_least, at_most
-from repro.wasm import opcodes
 from repro.wasm.decoder import WasmDecodeError, decode_module
 from repro.wasm.interp import FuelExhausted, Instance, WasmTrap
 from repro.wasm.types import Instr, Module
-
-
-@dataclass
-class _CountingInstance(Instance):
-    """An interpreter instance that tallies executed instruction groups."""
-
-    counts: dict = field(default_factory=lambda: {
-        "total": 0, "xor": 0, "shift": 0, "rotate": 0,
-        "load": 0, "store": 0, "float": 0,
-    })
-
-    def _execute_simple(self, instr: Instr, stack: list, locals_: list) -> None:
-        counts = self.counts
-        counts["total"] += 1
-        name = instr.name
-        if name in opcodes.XOR_OPS:
-            counts["xor"] += 1
-        elif name in opcodes.SHIFT_OPS:
-            counts["shift"] += 1
-        elif name in opcodes.ROTATE_OPS:
-            counts["rotate"] += 1
-        elif name in opcodes.LOAD_OPS:
-            counts["load"] += 1
-        elif name in opcodes.STORE_OPS:
-            counts["store"] += 1
-        elif name in opcodes.FLOAT_OPS:
-            counts["float"] += 1
-        super()._execute_simple(instr, stack, locals_)
 
 
 @dataclass(frozen=True)
@@ -83,12 +61,12 @@ def profile_execution(
     else:
         raise TypeError(f"expected Module or bytes, got {type(module_or_bytes).__name__}")
 
-    instance = _CountingInstance(module, fuel=fuel)
+    instance = Instance(module, fuel=fuel)
     ran_any = False
     for export in module.exports:
         if export.kind != 0:
             continue
-        functype = instance._type_of(export.index)
+        functype = instance.type_of(export.index)
         args = []
         for i, _param in enumerate(functype.params):
             args.append(iterations if i == 0 else 7 + i)

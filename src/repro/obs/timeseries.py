@@ -415,6 +415,9 @@ class TimeSeriesRecorder:
         # is recorded; the line rings evict in lockstep with the rings above
         self._record_lines: deque = deque(maxlen=self.capacity)
         self._alert_lines: deque = deque(maxlen=self.capacity)  # (sort key, line)
+        self._pending: list = []  # lines encoded since the last flush
+        self._appended = None     # lines appended since the last rewrite (None: no write yet)
+        self._finished = False
         self._firing: dict = {}
         self._emitted = 0
         self._prev_counters: dict = {}
@@ -424,6 +427,12 @@ class TimeSeriesRecorder:
 
     def poll(self, now: float) -> int:
         """Emit every tick whose window ended at or before ``now``."""
+        emitted = self._emit(now)
+        if emitted and self.flush_path is not None:
+            self.flush()
+        return emitted
+
+    def _emit(self, now: float) -> int:
         complete = int(math.floor((now - self.origin) / self.interval))
         if complete <= self._emitted:
             return 0
@@ -436,21 +445,44 @@ class TimeSeriesRecorder:
         while self._emitted < complete:
             self._snapshot()
             emitted += 1
-        if emitted and self.flush_path is not None:
-            self.flush()
         return emitted
 
     def finish(self, now: float) -> None:
-        """Final poll + flush (for end-of-run / cooldown observation)."""
-        if not self.poll(now) and self.flush_path is not None:
+        """Final poll, then one flush that compacts the file."""
+        self._finished = True
+        self._emit(now)
+        if self.flush_path is not None:
             self.flush()
 
     def flush(self) -> None:
-        """Atomically rewrite ``flush_path`` from the cached lines.
+        """Bring ``flush_path`` up to date with the ring.
 
-        Byte-identical to ``write_timeseries_jsonl(path, self.timeseries())``
-        without re-encoding the retained ring.
+        The first flush of a run writes the header and every line so far
+        in one atomic rewrite; each later flush appends only the tick and
+        alert lines encoded since the one before, without an fsync (the
+        durability the atomic rewrite has). The file is opened for each
+        append and closed again, so no handle outlives a flush. A flush
+        that would take the lines appended since the last rewrite past
+        ``capacity``, and the flush of :meth:`finish`, compact instead:
+        one atomic rewrite from the line rings. Mid-run the file therefore
+        decodes to a superset of the ring (alert lines may sit between
+        tick lines; readers sort both); once finished it is byte-identical
+        to ``write_timeseries_jsonl(path, self.timeseries())``.
         """
+        pending = self._pending
+        if (
+            self._appended is None
+            or self._finished
+            or self._appended + len(pending) > self.capacity
+        ):
+            self._rewrite()
+        else:
+            with self.flush_path.open("a") as handle:
+                handle.write("".join(line + "\n" for line in pending))
+            self._appended += len(pending)
+        pending.clear()
+
+    def _rewrite(self) -> None:
         alerts = sorted(self._alert_lines, key=lambda pair: pair[0])
         write_atomic(
             self.flush_path,
@@ -459,6 +491,7 @@ class TimeSeriesRecorder:
                 interval=self.interval,
             ),
         )
+        self._appended = 0
 
     # -- snapshots --------------------------------------------------------------------
 
@@ -496,16 +529,19 @@ class TimeSeriesRecorder:
         self._records.append(record)
         flushing = self.flush_path is not None
         if flushing:
-            self._record_lines.append(_record_line(record))
+            line = _record_line(record)
+            self._record_lines.append(line)
+            self._pending.append(line)
         if self.rules is not None:
             events = self.rules.evaluate(
                 list(self._records), self.interval, self._firing
             )
             self._alerts.extend(events)
             if flushing:
-                self._alert_lines.extend(
-                    (_alert_sort_key(event), _alert_line(event)) for event in events
-                )
+                for event in events:
+                    line = _alert_line(event)
+                    self._alert_lines.append((_alert_sort_key(event), line))
+                    self._pending.append(line)
 
     # -- views ------------------------------------------------------------------------
 

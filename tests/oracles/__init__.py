@@ -36,6 +36,10 @@ object whose thresholds they read:
 
 ``tests/test_cascade_differential.py`` checks the walk's verdict fields
 and ``Evidence.to_dict()`` against them.
+
+The wasm interpreter the dynamic detector used before it compiled function
+bodies into handlers lives in :mod:`tests.oracles.wasm_interp`, checked by
+``tests/test_wasm_compiled_differential.py``.
 """
 
 from __future__ import annotations

@@ -223,6 +223,55 @@ class TestFlush:
         assert calls == list(range(polls))
 
 
+    def test_each_flush_appends_only_its_own_lines(self, tmp_path):
+        """After the first (atomic) write, a tick's flush grows the file by
+        exactly that tick's encoded record line and alert lines."""
+        from repro.obs.alerts import default_service_rules
+        from repro.obs.artifact import dumps
+
+        path = tmp_path / "timeseries.jsonl"
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(
+            registry, interval=1.0, rules=default_service_rules(), capacity=200,
+            flush_path=path,
+        )
+        registry.inc("service.requests.offered", 3)
+        recorder.poll(1.0)
+        before = path.read_bytes()
+        fired = 0
+        for step in range(1, 60):
+            registry.inc("service.requests.offered", 10)
+            registry.inc("service.rejected.queue_full", 9 if 20 <= step < 30 else 0)
+            assert recorder.poll(float(step + 1)) == 1
+            after = path.read_bytes()
+            assert after.startswith(before)
+            record = recorder.records[-1]
+            events = [event for event in recorder.alerts if event.tick == record.tick]
+            fired += len(events)
+            expected = [dumps(record.to_dict())] + [dumps({"alert": e.to_dict()}) for e in events]
+            assert after[len(before):].decode().splitlines() == expected
+            before = after
+        assert fired >= 2, "the shed burst should fire and resolve an alert"
+        recorder.finish(60.5)
+        assert path.read_text() == recorder.timeseries().to_jsonl()
+
+    def test_appends_compact_once_capacity_lines_accumulate(self, tmp_path):
+        path = tmp_path / "timeseries.jsonl"
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, interval=1.0, capacity=4, flush_path=path)
+        for step in range(40):
+            registry.inc("work.done", step)
+            recorder.poll(float(step + 1))
+            lines = path.read_text().splitlines()
+            # header + at most the ring at the last rewrite + capacity appended
+            assert len(lines) <= 1 + 2 * recorder.capacity
+            on_disk = {r.tick: r.to_dict() for r in read_timeseries_jsonl(path).records}
+            assert all(on_disk[r.tick] == r.to_dict() for r in recorder.records)
+        recorder.finish(40.0)
+        assert path.read_text() == recorder.timeseries().to_jsonl()
+        assert len(path.read_text().splitlines()) == 1 + recorder.capacity
+
+
 class TestRingAliasing:
     def test_merging_into_timeseries_leaves_the_ring_alone(self, tmp_path):
         path = tmp_path / "timeseries.jsonl"

@@ -240,9 +240,21 @@ def test_flushed_file_equals_full_reserialization(steps, capacity):
                 now += value
                 recorder.poll(now)
                 if recorder.records:  # the first emitted tick creates the file
-                    _assert_flushed(path, recorder)
+                    _assert_covers_ring(path, recorder)
         recorder.finish(now + 1.0)
         _assert_flushed(path, recorder)
+
+
+def _assert_covers_ring(path, recorder):
+    """Mid-run, the appended file decodes to a superset of the ring, with
+    the ring's own records and alerts on its ticks."""
+    live = read_timeseries_jsonl(path)
+    on_disk = {record.tick: record.to_dict() for record in live.records}
+    for record in recorder.records:
+        assert on_disk[record.tick] == record.to_dict()
+    disk_alerts = [event.to_dict() for event in live.alerts]
+    for event in recorder.alerts:
+        assert event.to_dict() in disk_alerts
 
 
 def _assert_flushed(path, recorder):

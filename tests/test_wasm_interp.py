@@ -66,6 +66,54 @@ class TestArithmetic:
         with pytest.raises(WasmTrap, match="divide by zero"):
             run([Instr("i32.const", (1,)), Instr("i32.const", (0,)), Instr("i32.div_u")], 0, 0)
 
+    def test_i64_div_s_is_exact_above_2_pow_53(self):
+        dividend = (1 << 62) + 1
+        body = [
+            Instr("i64.const", (dividend,)),
+            Instr("i64.const", (3,)),
+            Instr("i64.div_s"),
+            Instr("i64.const", (dividend,)),
+            Instr("i64.const", (3,)),
+            Instr("i64.rem_s"),
+        ]
+        quotient, remainder = run(body, results=(ValType.I64, ValType.I64))
+        assert quotient == dividend // 3 == 1537228672809129301
+        assert remainder == dividend % 3
+
+    def test_i64_div_s_negative_truncates_toward_zero(self):
+        dividend = -((1 << 62) + 1)
+        body = [
+            Instr("i64.const", (dividend,)),
+            Instr("i64.const", (3,)),
+            Instr("i64.div_s"),
+            Instr("i64.const", (dividend,)),
+            Instr("i64.const", (3,)),
+            Instr("i64.rem_s"),
+        ]
+        quotient, remainder = run(body, results=(ValType.I64, ValType.I64))
+        assert quotient == (-(((1 << 62) + 1) // 3)) & ((1 << 64) - 1)
+        assert remainder == (-(((1 << 62) + 1) % 3)) & ((1 << 64) - 1)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_signed_div_of_int_min_by_minus_one_traps(self, width):
+        int_min = 1 << (width - 1)
+        body = [
+            Instr(f"i{width}.const", (int_min,)),
+            Instr(f"i{width}.const", (-1,)),
+            Instr(f"i{width}.div_s"),
+        ]
+        with pytest.raises(WasmTrap, match="integer overflow"):
+            run(body, results=(ValType.I32 if width == 32 else ValType.I64,))
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_signed_rem_of_int_min_by_minus_one_is_zero(self, width):
+        body = [
+            Instr(f"i{width}.const", (1 << (width - 1),)),
+            Instr(f"i{width}.const", (-1,)),
+            Instr(f"i{width}.rem_s"),
+        ]
+        assert run(body, results=(ValType.I32 if width == 32 else ValType.I64,)) == [0]
+
     def test_clz_ctz_popcnt(self):
         assert run([Instr("i32.const", (1,)), Instr("i32.clz")], 0, 0) == [31]
         assert run([Instr("i32.const", (8,)), Instr("i32.ctz")], 0, 0) == [3]
@@ -288,6 +336,37 @@ class TestCalls:
         module.types.append(FuncType((), (ValType.I32,)))
         instance = Instance(module, imports={("env", "answer"): lambda: 42})
         assert instance.invoke("f") == [42]
+
+    def test_host_imports_are_resolved_once(self):
+        """Host callables are looked up when the instance is built, not on
+        every call: later edits of ``imports`` do not reach the module."""
+        calls = []
+        module = make_module(
+            [Instr("call", (0,)), Instr("call", (0,)), Instr("i32.add")],
+            params=(), results=(ValType.I32,),
+            imports=(Import("env", "tick", 0, 1),),
+        )
+        module.types.append(FuncType((), (ValType.I32,)))
+        instance = Instance(module, imports={("env", "tick"): lambda: calls.append(1) or 20})
+        instance.imports[("env", "tick")] = lambda: 0
+        assert instance.invoke("f") == [40]
+        assert len(calls) == 2
+
+    def test_host_import_arguments_and_default_stub(self):
+        seen = []
+        module = make_module(
+            [
+                Instr("i32.const", (5,)), Instr("i32.const", (6,)), Instr("call", (0,)),
+                Instr("call", (1,)), Instr("i32.add"),
+            ],
+            params=(), results=(ValType.I32,),
+            imports=(Import("env", "pair", 0, 1), Import("env", "zero", 0, 2)),
+        )
+        module.types.append(FuncType((ValType.I32, ValType.I32), (ValType.I32,)))
+        module.types.append(FuncType((), (ValType.I32,)))
+        instance = Instance(module, imports={("env", "pair"): lambda a, b: seen.append((a, b)) or a * b})
+        assert instance.invoke("f") == [30]  # the unlisted import is stubbed to 0
+        assert seen == [(5, 6)]
 
     def test_unknown_export(self):
         with pytest.raises(KeyError):
