@@ -84,15 +84,23 @@ def set_blob_nonce(blob: bytes, header: BlockHeader, nonce: int) -> bytes:
     return blob[:offset] + nonce.to_bytes(4, "little") + blob[offset + 4 :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
-    """A full block: header plus ordered transactions (coinbase first)."""
+    """A full block: header plus ordered transactions (coinbase first).
+
+    Immutable: ``transactions`` is stored as a tuple, and the Merkle root
+    and block id are computed on first use and kept. The two caches are
+    not ``__init__`` fields, so ``dataclasses.replace`` never carries a
+    stale root or id into the new block.
+    """
 
     header: BlockHeader
-    transactions: list = field(default_factory=list)
-    _merkle_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
+    transactions: tuple = ()
+    _merkle_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    _id_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "transactions", tuple(self.transactions))
         if not self.transactions:
             raise ValueError("block must contain a coinbase transaction")
         if not self.transactions[0].is_coinbase:
@@ -107,7 +115,7 @@ class Block:
 
     def merkle_root(self) -> bytes:
         if self._merkle_cache is None:
-            self._merkle_cache = tree_hash(self.tx_hashes())
+            object.__setattr__(self, "_merkle_cache", tree_hash(self.tx_hashes()))
         return self._merkle_cache
 
     def hashing_blob(self) -> bytes:
@@ -123,7 +131,11 @@ class Block:
         Distinct from the PoW hash — the chain links blocks by id, while the
         difficulty test applies to the (slow) PoW hash.
         """
-        return hashlib.sha3_256(b"blockid" + self.hashing_blob()).digest()
+        if self._id_cache is None:
+            object.__setattr__(
+                self, "_id_cache", hashlib.sha3_256(b"blockid" + self.hashing_blob()).digest()
+            )
+        return self._id_cache
 
     def reward(self) -> int:
         return self.coinbase.total_output()

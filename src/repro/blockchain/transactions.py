@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.blockchain import varint
 
@@ -25,6 +26,9 @@ class Transaction:
     ``extra`` carries arbitrary bytes — pools use it for their extra nonce,
     which is exactly why two pools (or two backends of one pool) never
     produce the same coinbase hash, and hence never the same Merkle root.
+
+    The hash is computed on first use and kept: a transaction never changes
+    after construction, and ``dataclasses.replace`` starts a fresh cache.
     """
 
     version: int
@@ -33,6 +37,7 @@ class Transaction:
     outputs: tuple           # ((amount_atomic, address), ...)
     extra: bytes = b""
     is_coinbase: bool = False
+    _hash: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def serialize(self) -> bytes:
         out = bytearray()
@@ -57,7 +62,9 @@ class Transaction:
 
     def hash(self) -> bytes:
         """32-byte transaction hash (SHA3-256 of the serialization)."""
-        return hashlib.sha3_256(self.serialize()).digest()
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hashlib.sha3_256(self.serialize()).digest())
+        return self._hash
 
     def total_output(self) -> int:
         return sum(amount for amount, _ in self.outputs)

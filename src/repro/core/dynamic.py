@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.features import Check, at_least, at_most
 from repro.wasm.decoder import WasmDecodeError, decode_module
-from repro.wasm.interp import FuelExhausted, Instance, WasmTrap
+from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
 from repro.wasm.types import Instr, Module
 
 
@@ -52,7 +52,8 @@ def profile_execution(
     real mining kernels) take a work-count-like argument, so this drives
     the hot loop. Traps and fuel exhaustion are tolerated per export; a
     fuel-exhausted kernel still contributes its executed counts (an
-    infinite hashing loop is itself a signal).
+    infinite hashing loop is itself a signal). Invalid code is not
+    tolerated: :class:`~repro.wasm.interp.InvalidCode` propagates.
     """
     if isinstance(module_or_bytes, (bytes, bytearray)):
         module = decode_module(bytes(module_or_bytes))
@@ -75,6 +76,8 @@ def profile_execution(
             ran_any = True
         except FuelExhausted:
             ran_any = True
+        except InvalidCode:
+            raise  # invalid code fails the whole module, as compiling it would
         except WasmTrap:
             continue
 

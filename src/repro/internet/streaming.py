@@ -314,7 +314,7 @@ class _StreamWeb(SyntheticWeb):
         while len(self._site_keys) > self._cache_limit:
             _, (old_keys, old_host) = self._site_keys.popitem(last=False)
             for key in old_keys:
-                self.resources.pop(key, None)
+                self.unregister(key)
             if old_host is not None:
                 self.https_hosts.discard(old_host)
 

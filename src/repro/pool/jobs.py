@@ -42,7 +42,7 @@ class BlockTemplate:
         """Materialize the full block for a winning nonce."""
         return Block(
             header=self.header.with_nonce(nonce),
-            transactions=list(self.transactions),
+            transactions=self.transactions,
         )
 
 

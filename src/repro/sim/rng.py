@@ -86,7 +86,12 @@ class RngStream:
         return self._rng.gauss(mu, sigma)
 
     def randbytes(self, n: int) -> bytes:
-        return bytes(self._rng.getrandbits(8) for _ in range(n))
+        """``n`` bytes, each the top byte of one 32-bit Mersenne Twister
+        output: the bytes ``n`` calls of ``getrandbits(8)`` would give, and
+        the same generator state afterwards, in one draw."""
+        if n <= 0:
+            return b""
+        return self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)

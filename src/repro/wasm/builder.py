@@ -20,7 +20,7 @@ by the tests/benchmarks to exercise the fingerprint pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.rng import RngStream
@@ -385,22 +385,30 @@ def all_blueprints() -> list:
     return blueprints
 
 
+#: encoded module bytes by ``(root_seed, blueprint)``, shared by every
+#: builder in the process
+_ENCODED: dict = {}
+
+
 @dataclass
 class WasmCorpusBuilder:
     """Deterministic generator of the module corpus.
 
-    Modules are cached by blueprint so repeated site visits serve identical
-    bytes, exactly as a CDN-served ``cryptonight.wasm`` would.
+    Encoded modules are memoized per process by ``(root_seed, blueprint)``,
+    so repeated site visits serve identical bytes, exactly as a CDN-served
+    ``cryptonight.wasm`` would, and every builder with the same seed (the
+    reference database, each population kit) shares one build per blueprint.
     """
 
     root_seed: int = 2018
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def build(self, blueprint: ModuleBlueprint) -> bytes:
-        """Return the encoded module bytes for ``blueprint`` (cached)."""
-        if blueprint not in self._cache:
-            self._cache[blueprint] = encode_module(self.build_module(blueprint))
-        return self._cache[blueprint]
+        """Return the encoded module bytes for ``blueprint`` (memoized)."""
+        key = (self.root_seed, blueprint)
+        module_bytes = _ENCODED.get(key)
+        if module_bytes is None:
+            module_bytes = _ENCODED.setdefault(key, encode_module(self.build_module(blueprint)))
+        return module_bytes
 
     def build_module(self, blueprint: ModuleBlueprint) -> Module:
         """Construct the (unencoded) :class:`Module` for ``blueprint``."""

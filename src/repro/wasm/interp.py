@@ -100,6 +100,12 @@ class FuelExhausted(WasmTrap):
     """Raised when the instruction budget runs out (guards infinite loops)."""
 
 
+class InvalidCode(WasmTrap):
+    """Raised when execution reaches code a validator would reject: a call
+    to a function index past the function space, a pop from an empty
+    stack, or a local, global or block that does not exist."""
+
+
 def _signed(value: int, bits: int) -> int:
     if value >= 1 << (bits - 1):
         return value - (1 << bits)
@@ -660,9 +666,12 @@ class Instance:
 
     def type_of(self, func_index: int):
         """The :class:`~repro.wasm.types.FuncType` of a function-space index."""
-        if func_index < len(self._hosts):
-            return self.module.types[self._func_imports[func_index].desc]
-        return self.module.types[self.module.func_type_indices[func_index - len(self._hosts)]]
+        try:
+            if func_index < len(self._hosts):
+                return self.module.types[self._func_imports[func_index].desc]
+            return self.module.types[self.module.func_type_indices[func_index - len(self._hosts)]]
+        except IndexError:
+            raise InvalidCode(f"function index {func_index} out of range") from None
 
     # -- execution ----------------------------------------------------------------
 
@@ -705,7 +714,7 @@ class Instance:
                 # past the end: a call site, made here so fuel stays shared
                 callee, arity, resume = body.calls[pc - end - 1]
                 if len(stack) < arity:
-                    raise IndexError("pop from empty list")
+                    raise InvalidCode("stack underflow at call")
                 call_args = stack[len(stack) - arity:]
                 del stack[len(stack) - arity:]
                 budget[0] = fuel
@@ -715,6 +724,10 @@ class Instance:
         except Exception as exc:
             if pc < end and body.categories[pc] >= 0:
                 self._uncount(body, pc, ran=not isinstance(exc, FuelExhausted))
+            if pc < end and isinstance(exc, (IndexError, KeyError)):
+                # a handler indexes past a stack, locals, globals or block
+                # table only when the code is invalid
+                raise InvalidCode(f"invalid code at instruction {pc}: {exc}") from None
             raise
         budget[0] = fuel
         if body.results == 0:

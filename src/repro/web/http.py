@@ -118,7 +118,9 @@ class SyntheticWeb:
 
     URLs are stored normalized as ``scheme://host/path``. Hosts absent from
     the registry raise DNS-style failures; ``https`` URLs for hosts marked
-    HTTP-only raise TLS failures.
+    HTTP-only raise TLS failures. Add and drop URLs through
+    :meth:`register` and :meth:`unregister`, which keep the host set
+    behind :meth:`has_host` current.
     """
 
     resources: dict = field(default_factory=dict)
@@ -127,6 +129,9 @@ class SyntheticWeb:
     max_redirects: int = 5
     #: the chaos plane; ``None`` disables injection entirely
     fault_plan: Optional[FaultPlan] = None
+    #: hosts with at least one http(s) resource; ``None`` until the next
+    #: :meth:`has_host` rebuilds it (after construction or an unregister)
+    _hosts: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def register_ws(self, url: str, handler: Callable) -> None:
         """Register a WebSocket endpoint handler ``(channel, payload) -> None``."""
@@ -147,6 +152,13 @@ class SyntheticWeb:
         if scheme == "https":
             self.https_hosts.add(host)
         self.resources[f"{scheme}://{host}{path}"] = resource
+        if self._hosts is not None and scheme in ("http", "https"):
+            self._hosts.add(host)
+
+    def unregister(self, key: str) -> None:
+        """Drop the resource stored under the normalized URL ``key``."""
+        if self.resources.pop(key, None) is not None:
+            self._hosts = None
 
     def register_page(
         self,
@@ -158,9 +170,14 @@ class SyntheticWeb:
         self.register(url, Resource(content=html, latency=latency, hang=hang))
 
     def has_host(self, host: str) -> bool:
-        host = host.lower()
-        prefix_variants = (f"http://{host}/", f"https://{host}/")
-        return any(key.startswith(prefix_variants) for key in self.resources)
+        """Whether any http(s) resource is registered on ``host``."""
+        if self._hosts is None:
+            self._hosts = {
+                rest.partition("/")[0]
+                for scheme, _, rest in (key.partition("://") for key in self.resources)
+                if scheme in ("http", "https")
+            }
+        return host.lower() in self._hosts
 
     def lookup(self, url: str) -> Resource:
         scheme, host, path = split_url(url)

@@ -39,7 +39,9 @@ and ``Evidence.to_dict()`` against them.
 
 The wasm interpreter the dynamic detector used before it compiled function
 bodies into handlers lives in :mod:`tests.oracles.wasm_interp`, checked by
-``tests/test_wasm_compiled_differential.py``.
+``tests/test_wasm_compiled_differential.py``. The web registry's linear
+host scan is :mod:`tests.oracles.web`, and the per-byte ``randbytes`` is
+:mod:`tests.oracles.rng`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,14 @@
 """Tests for transactions, headers, blocks, and the hashing blob."""
 
-import pytest
+import dataclasses
+import hashlib
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.blockchain import varint
 from repro.blockchain.block import (
     Block,
@@ -16,6 +23,7 @@ from repro.blockchain.transactions import (
     TransferFactory,
     coinbase_transaction,
 )
+from repro.blockchain.merkle import tree_hash
 from repro.pool.jobs import parse_blob
 from repro.sim.rng import RngStream
 
@@ -170,3 +178,120 @@ class TestBlock:
         block = self.make_block(n_txs=4)
         *_, num_txs = parse_blob(block.hashing_blob())
         assert num_txs == 4
+
+
+# -- computed once: cached ids against fresh recomputation ---------------------
+
+_u64 = st.integers(min_value=0, max_value=2**64 - 1)
+_address = st.text(min_size=1, max_size=12)
+_transfer = st.builds(
+    Transaction,
+    version=st.integers(0, 3),
+    unlock_time=_u64,
+    inputs=st.lists(st.tuples(st.just("key"), st.binary(min_size=32, max_size=32)),
+                    min_size=1, max_size=3).map(tuple),
+    outputs=st.lists(st.tuples(_u64, _address), min_size=1, max_size=3).map(tuple),
+    extra=st.binary(max_size=16),
+)
+_coinbase = st.builds(
+    coinbase_transaction,
+    height=st.integers(0, 2**40),
+    reward_atomic=st.integers(1, 2**50),
+    miner_address=_address,
+    extra_nonce=st.binary(max_size=16),
+)
+_header = st.builds(
+    BlockHeader,
+    major=st.integers(0, 300),
+    minor=st.integers(0, 300),
+    timestamp=st.integers(0, 2**40),
+    prev_id=st.binary(min_size=32, max_size=32),
+    nonce=st.integers(0, 2**32 - 1),
+)
+
+
+def _fresh_tx_hash(tx: Transaction) -> bytes:
+    return hashlib.sha3_256(tx.serialize()).digest()
+
+
+def _fresh_block_id(block: Block) -> bytes:
+    root = tree_hash([_fresh_tx_hash(tx) for tx in block.transactions])
+    blob = hashing_blob(block.header, root, len(block.transactions))
+    return hashlib.sha3_256(b"blockid" + blob).digest()
+
+
+class TestComputedOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(header=_header, coinbase=_coinbase, transfers=st.lists(_transfer, max_size=9))
+    def test_cached_ids_equal_a_fresh_recomputation(self, header, coinbase, transfers):
+        block = Block(header=header, transactions=[coinbase, *transfers])
+        for tx in block.transactions:
+            first = tx.hash()
+            assert tx.hash() is first
+            assert first == _fresh_tx_hash(tx)
+        block_id = block.block_id()
+        assert block.block_id() is block_id
+        assert block_id == _fresh_block_id(block)
+        assert block.merkle_root() == tree_hash([_fresh_tx_hash(tx) for tx in block.transactions])
+
+    def test_replace_starts_fresh_caches(self):
+        block = TestBlock().make_block(n_txs=3)
+        old_id, old_root = block.block_id(), block.merkle_root()
+        renonced = dataclasses.replace(block, header=block.header.with_nonce(5))
+        assert renonced._id_cache is None and renonced._merkle_cache is None
+        assert renonced.block_id() != old_id
+        assert renonced.block_id() == _fresh_block_id(renonced)
+        coinbase = block.coinbase
+        retagged = dataclasses.replace(coinbase, extra=b"other")
+        assert retagged._hash is None
+        assert retagged.hash() != coinbase.hash() == _fresh_tx_hash(coinbase)
+        rebuilt = dataclasses.replace(block, transactions=(retagged, *block.transactions[1:]))
+        assert rebuilt.merkle_root() != old_root
+        assert rebuilt.block_id() == _fresh_block_id(rebuilt)
+
+    def test_block_is_frozen(self):
+        block = TestBlock().make_block()
+        assert isinstance(block.transactions, tuple)
+        block.block_id()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.header = block.header.with_nonce(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.transactions = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block._id_cache = bytes(32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.coinbase.extra = b"changed"
+
+    def test_caches_stay_out_of_equality_and_repr(self):
+        a, b = TestBlock().make_block(), TestBlock().make_block()
+        a.block_id()
+        assert a == b and hash(a) == hash(b)
+        assert "_cache" not in repr(a) and "_hash" not in repr(a.coinbase)
+
+    def test_simulation_serializes_each_tx_and_blob_once(self, monkeypatch):
+        """N encodes for N transactions and N blobs for N blocks, however
+        often templates, the mempool and the chain ask for the ids."""
+        serialized, blobbed = [], []
+        serialize, blob = Transaction.serialize, Block.hashing_blob
+
+        def counted_serialize(tx):
+            serialized.append(tx)
+            return serialize(tx)
+
+        def counted_blob(block):
+            blobbed.append(block)
+            return blob(block)
+
+        monkeypatch.setattr(Transaction, "serialize", counted_serialize)
+        monkeypatch.setattr(Block, "hashing_blob", counted_blob)
+        config = NetworkSimConfig()
+        config.end = config.start + 86400 / 2
+        observation = simulate_network(config)
+
+        blocks = observation.chain.blocks
+        assert len(blocks) > 300
+        assert Counter(map(id, blobbed)) == Counter(map(id, blocks))
+        tx_counts = Counter(map(id, serialized))
+        assert set(tx_counts.values()) == {1}
+        in_chain = {id(tx) for block in blocks for tx in block.transactions}
+        assert in_chain <= set(tx_counts)

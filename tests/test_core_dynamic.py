@@ -11,6 +11,8 @@ from repro.core.dynamic import (
 from repro.core.features import extract_features
 from repro.core.signatures import SignatureDatabase
 from repro.wasm.builder import ModuleBlueprint
+from repro.wasm.encoder import encode_module
+from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Module, ValType
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -52,6 +54,26 @@ class TestDynamicDetector:
 
     def test_rejects_garbage(self):
         assert not DynamicMinerDetector().is_miner(b"not wasm")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [Instr("local.get", (0,)), Instr("call", (99,)), Instr("end")],
+            [Instr("i32.add"), Instr("drop"), Instr("end")],
+        ],
+        ids=["call-out-of-range", "stack-underflow"],
+    )
+    def test_invalid_code_is_a_decision_not_an_exception(self, body):
+        module = Module()
+        module.types = [FuncType((ValType.I32,), ())]
+        module.func_type_indices = [0]
+        module.exports = [Export("f", 0, 0)]
+        module.codes = [CodeEntry(body=body)]
+        verdict, decision = DynamicMinerDetector().explain(encode_module(module))
+        assert verdict is False
+        assert decision.is_miner is False
+        assert decision.error == "InvalidCode"
+        assert decision.checks == ()
 
 
 class TestDeadCodePadding:

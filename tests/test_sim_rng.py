@@ -1,9 +1,10 @@
 """Tests for seeded random streams."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.rng import RngStream, derive_seed
+from tests.oracles import rng as rng_oracle
 
 
 class TestDeriveSeed:
@@ -40,6 +41,18 @@ class TestRngStream:
 
     def test_randbytes_length(self):
         assert len(RngStream(1).randbytes(33)) == 33
+
+    @example(root=2018, sizes=[0, 1, 5, 32, 33])
+    @given(
+        root=st.integers(min_value=0, max_value=2**62),
+        sizes=st.lists(st.integers(min_value=-3, max_value=300), max_size=8),
+    )
+    def test_randbytes_matches_oracle_and_leaves_the_same_state(self, root, sizes):
+        fast, slow = RngStream(root, "bytes"), RngStream(root, "bytes")
+        for n in sizes:
+            assert fast.randbytes(n) == rng_oracle.randbytes(slow, n)
+            assert fast.getrandbits(7) == slow.getrandbits(7)
+        assert fast.random() == slow.random()
 
     def test_choices_respects_weights(self):
         rng = RngStream(3, "w")

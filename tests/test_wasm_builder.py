@@ -1,8 +1,11 @@
 """Tests for the synthetic Wasm corpus."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.features import extract_features
+from repro.core.signatures import build_reference_database
 from repro.wasm.builder import (
     BENIGN_FAMILIES,
     FAMILY_PROFILES,
@@ -12,6 +15,7 @@ from repro.wasm.builder import (
     all_blueprints,
 )
 from repro.wasm.decoder import decode_module
+from repro.wasm.encoder import encode_module
 from repro.wasm.validator import validate_module
 
 
@@ -50,6 +54,46 @@ class TestDeterminism:
         a = WasmCorpusBuilder(root_seed=1).build(ModuleBlueprint("coinhive", 0))
         b = WasmCorpusBuilder(root_seed=2).build(ModuleBlueprint("coinhive", 0))
         assert a != b
+
+
+class TestProcessMemo:
+    """Encoded modules are built once per ``(root_seed, blueprint)`` per
+    process and shared by every builder."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        build_module = WasmCorpusBuilder.build_module
+
+        def counted(self, blueprint):
+            calls.append((self.root_seed, blueprint))
+            return build_module(self, blueprint)
+
+        monkeypatch.setattr(WasmCorpusBuilder, "build_module", counted)
+        return calls
+
+    def test_builders_with_one_seed_share_one_build(self, built):
+        blueprint = ModuleBlueprint("coinhive", 1)
+        first = WasmCorpusBuilder(root_seed=770_001).build(blueprint)
+        second = WasmCorpusBuilder(root_seed=770_001).build(blueprint)
+        assert second is first
+        assert built == [(770_001, blueprint)]
+        assert first == encode_module(WasmCorpusBuilder(root_seed=770_001).build_module(blueprint))
+
+    def test_seeds_do_not_share_builds(self, built):
+        blueprint = ModuleBlueprint("coinhive", 1)
+        a = WasmCorpusBuilder(root_seed=770_002).build(blueprint)
+        b = WasmCorpusBuilder(root_seed=770_003).build(blueprint)
+        assert a != b
+        assert built == [(770_002, blueprint), (770_003, blueprint)]
+
+    def test_reference_database_builds_each_blueprint_at_most_once(self, built):
+        first = build_reference_database()
+        second = build_reference_database(WasmCorpusBuilder())
+        assert first.to_json() == second.to_json()
+        assert max(Counter(built).values(), default=0) <= 1
+        assert build_reference_database().to_json() == first.to_json()
+        assert max(Counter(built).values(), default=0) <= 1
 
 
 class TestStructure:

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.dynamic import pad_with_dead_code, profile_execution
 from repro.wasm.builder import all_blueprints
 from repro.wasm.decoder import decode_module
-from repro.wasm.interp import FuelExhausted, Instance, WasmTrap
+from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
 from repro.wasm.types import (
     CodeEntry, Export, FuncType, Global, Import, Instr, Limits, Module, ValType,
 )
@@ -43,17 +43,19 @@ def _value(value):
     return value
 
 
-def _outcome(instance, calls) -> tuple:
+def _outcome(instance, calls, invalid=InvalidCode) -> tuple:
     """Everything observable after ``calls`` ((func index, args) pairs) ran
-    on one instance, in order."""
+    on one instance, in order. ``invalid`` is what the instance raises on
+    invalid code: the oracle a bare ``IndexError``/``KeyError``, the
+    compiled interpreter an :class:`InvalidCode` trap."""
     results = []
     for func_index, args in calls:
         try:
             results.append(("ok", [_value(v) for v in instance.invoke_index(func_index, *args)]))
+        except invalid:
+            results.append(("invalid",))
         except WasmTrap as exc:  # the trap itself is part of the outcome
             results.append((type(exc).__name__, str(exc)))
-        except (IndexError, KeyError) as exc:  # invalid code underflows the stack
-            results.append((type(exc).__name__,))
     return (
         results,
         hashlib.sha256(bytes(instance.memory)).hexdigest(),
@@ -63,7 +65,7 @@ def _outcome(instance, calls) -> tuple:
 
 
 def _assert_same(module: Module, calls, fuel: int) -> tuple:
-    expected = _outcome(oracle.CountingInstance(module, fuel=fuel), calls)
+    expected = _outcome(oracle.CountingInstance(module, fuel=fuel), calls, (IndexError, KeyError))
     actual = _outcome(Instance(module, fuel=fuel), calls)
     assert actual == expected
     return actual
