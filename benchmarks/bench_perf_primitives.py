@@ -400,3 +400,59 @@ def test_interpreter_speedup_summary():
         f"{payload['instructions_per_s']['oracle']:,}/s",
     )
     assert payload["interpreter_speedup"] >= 3.0, payload
+
+
+# -- table-driven decoder vs the per-instruction oracle ------------------------
+
+
+def test_decoder_speedup_summary():
+    """Module decoding over the whole corpus, table-driven vs oracle.
+
+    Min-of-7 wall time of ``decode_module`` over every corpus module (one
+    per blueprint), against the same module decoder on the
+    per-instruction expression decoder in ``tests/oracles/wasm_decoder.py``.
+    Both must decode every module to the same value; the acceptance gate
+    pins the speedup at >= 1.3x and CI reads the emitted JSON.
+    """
+    import time
+
+    from conftest import emit, emit_json
+
+    from repro.wasm.builder import all_blueprints
+    from tests.oracles import wasm_decoder
+
+    modules = [_BUILDER.build(blueprint) for blueprint in all_blueprints()]
+
+    def best_of(decode, repeats=7):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for wasm in modules:
+                decode(wasm)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    decoded = [decode_module(wasm) for wasm in modules]
+    assert decoded == [wasm_decoder.decode_module(wasm) for wasm in modules]
+    instructions = sum(len(code.body) for module in decoded for code in module.codes)
+    table = best_of(decode_module)
+    reference = best_of(wasm_decoder.decode_module)
+
+    payload = {
+        "modules": len(modules),
+        "instructions": instructions,
+        "decoder_speedup": round(reference / table, 2),
+        "ns_per_instruction": {
+            "table": round(table / instructions * 1e9, 1),
+            "oracle": round(reference / instructions * 1e9, 1),
+        },
+    }
+    emit_json("decoder", payload)
+    emit(
+        "decoder",
+        f"decode_module over {len(modules)} corpus modules ({instructions} instructions): "
+        f"{payload['decoder_speedup']}x — table "
+        f"{payload['ns_per_instruction']['table']} ns/instruction, oracle "
+        f"{payload['ns_per_instruction']['oracle']} ns/instruction",
+    )
+    assert payload["decoder_speedup"] >= 1.3, payload

@@ -15,7 +15,7 @@ with a fixed value at a fixed offset", Section 4.1) works at all.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain import varint
@@ -57,7 +57,9 @@ class BlockHeader:
         return bytes(out)
 
     def with_nonce(self, nonce: int) -> "BlockHeader":
-        return replace(self, nonce=nonce)
+        # the constructor, not dataclasses.replace: the same header and the
+        # same __post_init__ checks, without re-reading the field list
+        return BlockHeader(self.major, self.minor, self.timestamp, self.prev_id, nonce)
 
     def nonce_offset(self) -> int:
         """Byte offset of the nonce in the serialized header/blob."""

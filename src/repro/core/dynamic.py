@@ -15,6 +15,10 @@ tally on the :class:`~repro.wasm.interp.Instance` (``Instance.counts``);
 instruction, so a kernel that runs out of fuel is profiled up to exactly
 the instruction where the budget ended.
 
+:class:`DynamicMinerDetector` profiles raw bytes through the process-wide
+:class:`~repro.core.fastpath.WasmCache`, so each distinct module is
+decoded and run once, however many pages serve it.
+
 ``benchmarks/bench_ext_dynamic_detection.py`` compares static and dynamic
 classification on a dead-code-padded corpus.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import fastpath
 from repro.core.features import Check, at_least, at_most
 from repro.wasm.decoder import WasmDecodeError, decode_module
 from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
@@ -124,9 +129,16 @@ class DynamicMinerDetector:
 
     def explain(self, module_or_bytes) -> tuple:
         """``(is_miner, DynamicDecision)``: the verdict plus each
-        executed-stream feature tested against its threshold."""
+        executed-stream feature tested against its threshold.
+
+        Bytes are profiled once per distinct content, through
+        :meth:`~repro.core.fastpath.WasmCache.profile`; a
+        :class:`~repro.wasm.types.Module` is profiled directly."""
         try:
-            profile = profile_execution(module_or_bytes)
+            if isinstance(module_or_bytes, (bytes, bytearray)):
+                profile = fastpath.shared_cache().profile(bytes(module_or_bytes))
+            else:
+                profile = profile_execution(module_or_bytes)
         except (WasmDecodeError, WasmTrap) as exc:
             return False, DynamicDecision(False, error=type(exc).__name__)
         checks = (

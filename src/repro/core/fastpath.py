@@ -12,8 +12,9 @@ implementations production runs:
   evidence provenance (source, line number, matched span, exception
   handling) is unchanged;
 - :class:`WasmCache` — a bounded content-hash LRU memoizing module
-  decodes, function-body extraction, and the three signature digests,
-  one instance per process (shared by thread-mode shards).
+  decodes, function-body extraction, the three signature digests, the
+  static features and the dynamic execution profile, one instance per
+  process (shared by thread-mode shards).
 
 Everything here is an *equivalence-preserving* rewrite: for any input it
 must return byte-identical results to the straightforward reference
@@ -42,6 +43,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.wasm.decoder import WasmDecodeError, decode_module, function_body_bytes
+from repro.wasm.interp import InvalidCode
+
+#: failures a :class:`WasmCache` field remembers: re-probing the same bytes
+#: raises a fresh instance of the same class with the same message
+_CACHED_ERRORS = (WasmDecodeError, InvalidCode)
 
 # --------------------------------------------------------------------------
 # Aho-Corasick literal automaton
@@ -464,9 +470,10 @@ class WasmCache:
 
     Keyed by content (SHA-256 of the raw bytes), so the many sites
     serving the *same* miner module — the paper's central observation —
-    share one decode and one set of digests. The content hash doubles as
-    the whole-module signature, making that digest free on every lookup.
-    Decode failures are cached too: garbage bytes fail fast on re-probe.
+    share one decode, one set of digests and one execution profile. The
+    content hash doubles as the whole-module signature, making that digest
+    free on every lookup. Failures are cached too, by class and message:
+    garbage bytes fail fast on re-probe.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -510,14 +517,15 @@ class WasmCache:
             else:
                 self.stats.misses += 1
         if error is not None:
-            raise WasmDecodeError(error)
+            error_class, message = error
+            raise error_class(message)
         if hit:
             return entry[name]
         if name not in entry:
             try:
                 entry[name] = compute(entry)
-            except WasmDecodeError as exc:
-                entry[name + "_error"] = str(exc)
+            except _CACHED_ERRORS as exc:
+                entry[name + "_error"] = (type(exc), str(exc))
                 raise
         return entry[name]
 
@@ -561,6 +569,23 @@ class WasmCache:
             wasm_bytes,
             "features",
             lambda entry: extract_features(self.module(wasm_bytes)),
+        )
+
+    def profile(self, wasm_bytes: bytes):
+        """:func:`~repro.core.dynamic.profile_execution` of the decoded
+        module at its default ``iterations`` and ``fuel`` (memoized).
+
+        The profile, not a verdict, is what is kept: each detector applies
+        its own thresholds to it. Running the module never writes to the
+        shared :class:`~repro.wasm.types.Module`; the instance copies its
+        memory and globals out.
+        """
+        from repro.core.dynamic import profile_execution
+
+        return self._field(
+            wasm_bytes,
+            "profile",
+            lambda entry: profile_execution(self.module(wasm_bytes)),
         )
 
 

@@ -13,6 +13,7 @@ adversarial, so every read is bounds-checked and all failures surface as
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.wasm import leb128, opcodes
@@ -108,54 +109,129 @@ class _Reader:
         raise WasmDecodeError(f"invalid limits flag 0x{flag:02X}")
 
 
-def decode_instr(reader: _Reader) -> Instr:
-    """Decode one instruction at the reader cursor."""
-    code = reader.byte()
-    try:
-        spec = opcodes.spec_for(code)
-    except KeyError as exc:
-        raise WasmDecodeError(str(exc)) from exc
-    kind = spec.immediate
-    if kind == "none":
-        return Instr(spec.name)
-    if kind == "blocktype":
-        byte = reader.byte()
-        blocktype = None if byte == 0x40 else ValType.from_byte(byte)
-        return Instr(spec.name, (blocktype,))
-    if kind == "u32":
-        return Instr(spec.name, (reader.u32(),))
-    if kind == "u32x2":
-        return Instr(spec.name, (reader.u32(), reader.u32()))
-    if kind == "memarg":
-        return Instr(spec.name, (reader.u32(), reader.u32()))
-    if kind == "i32":
-        return Instr(spec.name, (reader.s32(),))
-    if kind == "i64":
-        return Instr(spec.name, (reader.s64(),))
-    if kind == "f32":
-        return Instr(spec.name, (struct.unpack("<f", reader.bytes_(4))[0],))
-    if kind == "f64":
-        return Instr(spec.name, (struct.unpack("<d", reader.bytes_(8))[0],))
-    if kind == "br_table":
-        count = reader.u32()
-        labels = tuple(reader.u32() for _ in range(count))
-        return Instr(spec.name, (labels, reader.u32()))
-    raise AssertionError(f"unhandled immediate kind {kind}")  # pragma: no cover
+# Immediate kinds, as small ints for the decode table: none, one LEB128
+# integer, two unsigned LEB128s, a block type, a float, a br_table.
+_NONE, _LEB, _PAIR, _BLOCKTYPE, _FLOAT, _BR_TABLE = range(6)
+#: immediate kind → (table kind, how the reader reads it)
+_KINDS = {
+    "none": (_NONE, None),
+    "u32": (_LEB, _Reader.u32),
+    "i32": (_LEB, _Reader.s32),
+    "i64": (_LEB, _Reader.s64),
+    "u32x2": (_PAIR, None),
+    "memarg": (_PAIR, None),
+    "blocktype": (_BLOCKTYPE, None),
+    "f32": (_FLOAT, struct.Struct("<f")),
+    "f64": (_FLOAT, struct.Struct("<d")),
+    "br_table": (_BR_TABLE, None),
+}
+_END = opcodes.BY_NAME["end"].code
+
+
+@functools.cache
+def _decode_table() -> list:
+    """Opcode byte → ``(kind, name, shared, read)``, ``None`` for an
+    opcode outside the subset. Built on the first decode, so a process
+    that never decodes wasm never holds it.
+
+    ``shared`` holds the instructions that are the same wherever they
+    occur, built once: the one :class:`Instr` of a no-immediate opcode,
+    the 128 of a LEB128 opcode's single-byte encodings, a block opcode's
+    one per block type byte. ``Instr`` is frozen, so one object can stand
+    at every place. ``read`` is the :class:`_Reader` method for a longer
+    LEB128, or the ``struct`` layout of a float.
+    """
+    table: list = [None] * 256
+    for code, spec in opcodes.BY_CODE.items():
+        kind, read = _KINDS[spec.immediate]
+        name = spec.name
+        shared = None
+        if kind == _NONE:
+            shared = Instr(name)
+        elif kind == _LEB:
+            signed = spec.immediate != "u32"
+            shared = tuple(
+                Instr(name, (byte - 0x80 if signed and byte & 0x40 else byte,))
+                for byte in range(0x80)
+            )
+        elif kind == _BLOCKTYPE:
+            shared = {0x40: Instr(name, (None,))}
+            shared.update((t.value, Instr(name, (t,))) for t in ValType)
+        table[code] = (kind, name, shared, read)
+    return table
 
 
 def decode_expr(reader: _Reader) -> list:
-    """Decode instructions until the matching top-level ``end``."""
-    depth = 0
+    """Decode instructions until the matching top-level ``end``.
+
+    One table lookup per opcode. Single-byte LEB128 immediates (the
+    common case: small indices, offsets and constants), block types and
+    floats are read inline; every longer or rarer immediate goes through
+    the bounds-checked :class:`_Reader`, so truncation, LEB128 length
+    limits and section bounds fail exactly as there.
+    """
+    data = reader.data
+    pos = reader.pos
+    end = reader.end
+    table = _decode_table()
     body: list[Instr] = []
+    append = body.append
+    depth = 0
     while True:
-        instr = decode_instr(reader)
-        body.append(instr)
-        if instr.name in ("block", "loop", "if"):
+        if pos >= end:
+            raise WasmDecodeError("unexpected end of module")
+        code = data[pos]
+        pos += 1
+        entry = table[code]
+        if entry is None:  # outside the subset: spec_for names the opcode
+            try:
+                opcodes.spec_for(code)
+            except KeyError as exc:
+                raise WasmDecodeError(str(exc)) from exc
+        kind, name, shared, read = entry
+        if kind == _NONE:
+            append(shared)
+            if code == _END:
+                if depth == 0:
+                    reader.pos = pos
+                    return body
+                depth -= 1
+        elif kind == _LEB:
+            if pos < end and data[pos] < 0x80:
+                append(shared[data[pos]])
+                pos += 1
+            else:
+                reader.pos = pos
+                append(Instr(name, (read(reader),)))
+                pos = reader.pos
+        elif kind == _PAIR:
+            if pos + 1 < end and data[pos] < 0x80 and data[pos + 1] < 0x80:
+                append(Instr(name, (data[pos], data[pos + 1])))
+                pos += 2
+            else:
+                reader.pos = pos
+                first = reader.u32()
+                append(Instr(name, (first, reader.u32())))
+                pos = reader.pos
+        elif kind == _BLOCKTYPE:
+            if pos >= end:
+                raise WasmDecodeError("unexpected end of module")
+            instr = shared.get(data[pos])
+            if instr is None:
+                raise WasmDecodeError(f"invalid valtype byte 0x{data[pos]:02X}")
+            append(instr)
+            pos += 1
             depth += 1
-        elif instr.name == "end":
-            if depth == 0:
-                return body
-            depth -= 1
+        elif kind == _FLOAT:
+            if pos + read.size > end:
+                raise WasmDecodeError("unexpected end of module")
+            append(Instr(name, read.unpack_from(data, pos)))
+            pos += read.size
+        else:  # br_table
+            reader.pos = pos
+            labels = tuple(reader.u32() for _ in range(reader.u32()))
+            append(Instr(name, (labels, reader.u32())))
+            pos = reader.pos
 
 
 def _decode_functype(reader: _Reader) -> FuncType:

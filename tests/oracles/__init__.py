@@ -39,7 +39,10 @@ and ``Evidence.to_dict()`` against them.
 
 The wasm interpreter the dynamic detector used before it compiled function
 bodies into handlers lives in :mod:`tests.oracles.wasm_interp`, checked by
-``tests/test_wasm_compiled_differential.py``. The web registry's linear
+``tests/test_wasm_compiled_differential.py``; the per-instruction
+expression decoder the table-driven one replaced lives in
+:mod:`tests.oracles.wasm_decoder`, checked by
+``tests/test_wasm_decoder_differential.py``. The web registry's linear
 host scan is :mod:`tests.oracles.web`, and the per-byte ``randbytes`` is
 :mod:`tests.oracles.rng`.
 """
@@ -150,6 +153,9 @@ class UncachedWasm:
 
     def features(self, wasm_bytes: bytes):
         return extract_features(wasm_bytes)
+
+    def profile(self, wasm_bytes: bytes):
+        return profile_execution(wasm_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,16 @@ class TestBlockHeader:
         other = header.with_nonce(99)
         assert other.nonce == 99 and header.nonce == 0
 
+    @pytest.mark.parametrize("nonce", [0, 1, 99, 2**32 - 1])
+    def test_with_nonce_equals_the_replace_built_header(self, nonce):
+        header = self.header(nonce=5)
+        assert header.with_nonce(nonce) == dataclasses.replace(header, nonce=nonce)
+
+    @pytest.mark.parametrize("nonce", [2**32, -1])
+    def test_with_nonce_still_range_checked(self, nonce):
+        with pytest.raises(ValueError, match="nonce must fit 4 bytes"):
+            self.header().with_nonce(nonce)
+
 
 class TestHashingBlob:
     def header(self):

@@ -1,7 +1,10 @@
 """Tests for the execution-based detector extension."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core import dynamic, fastpath
 from repro.core.classifier import MinerClassifier
 from repro.core.dynamic import (
     DynamicMinerDetector,
@@ -11,10 +14,24 @@ from repro.core.dynamic import (
 from repro.core.features import extract_features
 from repro.core.signatures import SignatureDatabase
 from repro.wasm.builder import ModuleBlueprint
+from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
 from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Module, ValType
 
 pytestmark = pytest.mark.filterwarnings("ignore")
+
+#: a body that decodes but calls a function that does not exist
+CALL_OUT_OF_RANGE = [Instr("local.get", (0,)), Instr("call", (99,)), Instr("end")]
+
+
+def one_function_module(body) -> bytes:
+    """A module exporting one ``(i32) -> ()`` function with ``body``."""
+    module = Module()
+    module.types = [FuncType((ValType.I32,), ())]
+    module.func_type_indices = [0]
+    module.exports = [Export("f", 0, 0)]
+    module.codes = [CodeEntry(body=body)]
+    return encode_module(module)
 
 
 class TestProfileExecution:
@@ -57,23 +74,69 @@ class TestDynamicDetector:
 
     @pytest.mark.parametrize(
         "body",
-        [
-            [Instr("local.get", (0,)), Instr("call", (99,)), Instr("end")],
-            [Instr("i32.add"), Instr("drop"), Instr("end")],
-        ],
+        [CALL_OUT_OF_RANGE, [Instr("i32.add"), Instr("drop"), Instr("end")]],
         ids=["call-out-of-range", "stack-underflow"],
     )
     def test_invalid_code_is_a_decision_not_an_exception(self, body):
-        module = Module()
-        module.types = [FuncType((ValType.I32,), ())]
-        module.func_type_indices = [0]
-        module.exports = [Export("f", 0, 0)]
-        module.codes = [CodeEntry(body=body)]
-        verdict, decision = DynamicMinerDetector().explain(encode_module(module))
+        verdict, decision = DynamicMinerDetector().explain(one_function_module(body))
         assert verdict is False
         assert decision.is_miner is False
         assert decision.error == "InvalidCode"
         assert decision.checks == ()
+
+
+@pytest.fixture()
+def fresh_cache():
+    """A fresh process-wide wasm cache for the test, and a clean one after."""
+    yield fastpath.reset_shared_cache()
+    fastpath.reset_shared_cache()
+
+
+class TestProfileMemo:
+    """The detector profiles bytes once per distinct content."""
+
+    def test_one_profile_per_distinct_module(self, corpus, fresh_cache):
+        modules = [corpus.build(ModuleBlueprint(f, 0)) for f in ("coinhive", "math-lib")]
+        schedule = [modules[i % 2] for i in range(10)]
+        detector = DynamicMinerDetector()
+        with mock.patch.object(
+            dynamic, "profile_execution", wraps=dynamic.profile_execution
+        ) as profile:
+            verdicts = [detector.is_miner(wasm) for wasm in schedule]
+        assert profile.call_count == 2
+        assert verdicts == [True, False] * 5
+
+    def test_module_input_is_profiled_directly(self, coinhive_wasm, fresh_cache):
+        module = decode_module(coinhive_wasm)
+        assert DynamicMinerDetector().is_miner(module)
+        assert len(fresh_cache) == 0
+
+    def test_thresholds_apply_to_a_profile_cached_by_another_detector(
+        self, coinhive_wasm, fresh_cache
+    ):
+        assert DynamicMinerDetector().is_miner(coinhive_wasm)  # caches the profile
+        executed = fresh_cache.profile(coinhive_wasm).executed
+        strict = DynamicMinerDetector(min_executed=executed + 1)
+        verdict, decision = strict.explain(coinhive_wasm)
+        assert verdict is False
+        assert [check.name for check in decision.checks if not check.ok] == ["executed"]
+        # the same decision as profiling a fresh decode, uncached
+        assert strict.explain(decode_module(coinhive_wasm)) == (verdict, decision)
+
+    @pytest.mark.parametrize(
+        "wasm, error",
+        [
+            (one_function_module(CALL_OUT_OF_RANGE), "InvalidCode"),
+            (b"\x00asm garbage", "WasmDecodeError"),
+        ],
+        ids=["invalid-code", "undecodable"],
+    )
+    def test_a_cached_failure_gives_the_same_error_name(self, wasm, error, fresh_cache):
+        detector = DynamicMinerDetector()
+        first = detector.explain(wasm)
+        second = detector.explain(wasm)
+        assert first == second == (False, dynamic.DynamicDecision(False, error=error))
+        assert fresh_cache.stats.hits > 0
 
 
 class TestDeadCodePadding:
@@ -95,9 +158,6 @@ class TestDeadCodePadding:
         cascade (unknown signature, stripped names) but not the dynamic one."""
         padded = pad_with_dead_code(coinhive_wasm)
         # strip names so the static cascade must rely on instruction mix
-        from repro.wasm.decoder import decode_module
-        from repro.wasm.encoder import encode_module
-
         module = decode_module(padded)
         module.func_names = {}
         module.module_name = None

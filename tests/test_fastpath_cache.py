@@ -5,7 +5,8 @@ answer is. Three laws are enforced here:
 
 - **exactness** — every cached field equals the cold reference recompute
   (`wasm_signature`, `unordered_signature`, `whole_module_signature`,
-  `decode_module`, `extract_features`), including cached *failures*;
+  `decode_module`, `extract_features`, `profile_execution`), including
+  cached *failures*, which re-raise with their class and message;
 - **boundedness** — the LRU never exceeds its capacity under adversarial
   access patterns, and evicted entries are recomputed correctly;
 - **mergeable accounting** — hit/miss/eviction tallies obey the same
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
+from repro.core import dynamic, fastpath
 from repro.core.fastpath import DEFAULT_CACHE_CAPACITY, CacheStats, WasmCache
 from repro.core.signatures import (
     unordered_signature,
@@ -34,9 +36,12 @@ from repro.core.signatures import (
     whole_module_signature,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.wasm.builder import ModuleBlueprint, WasmCorpusBuilder
+from repro.core.dynamic import pad_with_dead_code, profile_execution
+from repro.wasm.builder import ModuleBlueprint, WasmCorpusBuilder, all_blueprints
 from repro.wasm.decoder import WasmDecodeError, decode_module
+from repro.wasm.interp import InvalidCode
 from repro.core.features import extract_features
+from tests.test_core_dynamic import CALL_OUT_OF_RANGE, one_function_module
 
 _builder = WasmCorpusBuilder()
 _CORPUS = tuple(
@@ -87,6 +92,88 @@ class TestExactness:
         with pytest.raises(WasmDecodeError):
             cache.module(b"broken")
         assert cache.ordered_signature(wasm) == wasm_signature(wasm)
+
+
+class TestProfileMemo:
+    """``WasmCache.profile``: one execution profile per distinct module."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blueprint=st.sampled_from(all_blueprints()),
+        padded=st.booleans(),
+        repeats=st.integers(min_value=1, max_value=3),
+    )
+    def test_profile_equals_fresh_profile(self, blueprint, padded, repeats):
+        wasm = _builder.build(blueprint)
+        if padded:
+            wasm = pad_with_dead_code(wasm)
+        cache = WasmCache()
+        expected = profile_execution(decode_module(wasm))
+        for _ in range(repeats):
+            assert cache.profile(wasm) == expected
+
+    def test_profile_runs_once_per_distinct_content(self):
+        schedule = [_CORPUS[i % 3] for i in range(12)] + [bytes(_CORPUS[0])]
+        cache = WasmCache()
+        runs = []
+        original = dynamic.profile_execution
+
+        def counting(module, *args, **kwargs):
+            runs.append(module)
+            return original(module, *args, **kwargs)
+
+        with mock.patch.object(dynamic, "profile_execution", counting):
+            profiles = [cache.profile(wasm) for wasm in schedule]
+        assert len(runs) == 3
+        # the profiled module is the one the classifier's decode cached
+        assert runs[0] is cache.module(_CORPUS[0])
+        assert profiles[0] == profiles[3] == profiles[-1]
+
+    def test_profile_shares_the_cached_decode(self):
+        cache = WasmCache()
+        wasm = _CORPUS[0]
+        with mock.patch.object(fastpath, "decode_module", wraps=decode_module) as decode:
+            cache.features(wasm)
+            cache.profile(wasm)
+            cache.profile(wasm)
+        assert decode.call_count == 1
+
+    @pytest.mark.parametrize(
+        "wasm, error",
+        [
+            (one_function_module(CALL_OUT_OF_RANGE), InvalidCode),
+            (b"not wasm at all", WasmDecodeError),
+        ],
+        ids=["invalid-code", "undecodable"],
+    )
+    def test_failures_are_cached_by_class_and_message(self, wasm, error):
+        cache = WasmCache()
+        with pytest.raises(error) as first:
+            cache.profile(wasm)
+        misses = cache.stats.misses
+        with pytest.raises(error) as second:
+            cache.profile(wasm)
+        assert type(second.value) is type(first.value)
+        assert str(second.value) == str(first.value)
+        assert second.value is not first.value  # a fresh instance each time
+        assert cache.stats.misses == misses  # the second raise was a hit
+
+    def test_two_threads_profiling_the_same_bytes_agree(self):
+        cache = WasmCache()
+        wasm = _CORPUS[0]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(slot):
+            barrier.wait()
+            results[slot] = cache.profile(wasm)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results[0] == results[1] == profile_execution(wasm)
 
 
 class TestBoundedness:

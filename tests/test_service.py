@@ -410,6 +410,25 @@ class TestVerdictServer:
         assert server.metrics.counter("service.reload.mixed_bundle") == 0
         assert server.metrics.counter("service.reload.applied") == 1
 
+    def test_malformed_capture_is_answered_and_the_run_completes(self):
+        """A capture whose ``block`` type byte is 0x55 fails to decode: each
+        request carrying it still gets a verdict, with the failure cited."""
+        from tests.test_wasm_decoder_differential import _block_typed
+
+        population = _population()
+        server = VerdictServer(population=population)
+        domain = population.sites[0].domain
+        bad = _block_typed(0x55)
+        responses = server.run(
+            [_request(domain, 0.5 * i, sequence=i, wasm=(bad,)) for i in range(3)]
+        )
+        assert [(r.status, r.tier) for r in responses] == [("ok", TIER_FULL)] * 3
+        assert server.metrics.counter("service.requests.completed") == 3
+        for record in server.verdicts:
+            cited = {e.detector: e for e in record.evidence}
+            assert cited["signature"].verdict == "invalid"
+            assert cited["dynamic"].details == (("error", "WasmDecodeError"),)
+
     def test_rejected_reload_leaves_service_on_active_bundle(self):
         population = _population()
         server = VerdictServer(population=population, collect_evidence=False)
