@@ -15,11 +15,12 @@ from __future__ import annotations
 from conftest import emit
 from repro.analysis.reporting import render_table
 from repro.core.classifier import MinerClassifier
-from repro.core.dynamic import DynamicMinerDetector, pad_with_dead_code
+from repro.core.dynamic import DynamicMinerDetector
 from repro.core.signatures import SignatureDatabase
 from repro.wasm.builder import BENIGN_FAMILIES, MINER_FAMILIES, ModuleBlueprint, WasmCorpusBuilder
 from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
+from repro.wasm.obfuscate import pad_dead_code
 
 
 def _strip(data: bytes) -> bytes:
@@ -39,7 +40,7 @@ def test_ext_dynamic_detection(benchmark):
         for family in MINER_FAMILIES
         for v in range(2)
     ]
-    padded = [pad_with_dead_code(m) for m in miners]
+    padded = [pad_dead_code(m) for m in miners]
     benign = [
         builder.build(ModuleBlueprint(family, v))
         for family in BENIGN_FAMILIES

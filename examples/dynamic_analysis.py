@@ -11,13 +11,14 @@ Run:  python examples/dynamic_analysis.py
 """
 
 from repro.core.classifier import MinerClassifier
-from repro.core.dynamic import DynamicMinerDetector, pad_with_dead_code, profile_execution
+from repro.core.dynamic import DynamicMinerDetector, profile_execution
 from repro.core.features import extract_features
 from repro.core.signatures import SignatureDatabase
 from repro.wasm.builder import ModuleBlueprint, WasmCorpusBuilder
 from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
 from repro.wasm.interp import Instance
+from repro.wasm.obfuscate import pad_dead_code
 
 
 def show(label: str, wasm: bytes) -> None:
@@ -58,7 +59,7 @@ def main() -> None:
     show("stripped miner", stripped)
 
     # 3. the evasion: pad with float-heavy dead code
-    padded = pad_with_dead_code(stripped, float_functions=8)
+    padded = pad_dead_code(stripped, float_functions=8)
     show("stripped + dead-code padded miner", padded)
 
     # 4. control: a real codec module

@@ -4,15 +4,21 @@
 and assembles a single markdown report with all regenerated tables — the
 programmatic equivalent of running the whole benchmark suite, for use
 from scripts, notebooks, or ``repro-mining reproduce``.
+
+:func:`crawl_dataset` (one dataset's zgrab and Chrome campaigns) and
+:class:`ObservedRun` (obs, progress, recorder and run directory) are the
+crawl driver that ``repro-mining crawl`` shares with it.
 """
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.crawl import ChromeCampaign, ChromeCampaignResult, ZgrabCampaign
 from repro.analysis.economics import EconomicsReport, user_count_bracket
+from repro.analysis.metrics import CampaignMetrics
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.parallel import (
     ParallelConfig,
@@ -22,20 +28,23 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
+from repro.core.detector import PageDetector
 from repro.core.pool_association import attribution_evidence
+from repro.core.signatures import SignatureDatabase
 from repro.faults.ledger import FaultLedger
+from repro.faults.plan import FaultPlan, build_fault_plan
+from repro.faults.resilience import ResiliencePolicy
 from repro.graph.build import add_verdict
 from repro.graph.model import Graph
+from repro.internet.population import DATASETS, build_population
+from repro.internet.shortlinks import build_shortlink_population
+from repro.internet.streaming import StreamingPopulation, parse_strata
 from repro.obs.clock import get_clock
 from repro.obs.evidence import VerdictRecord
 from repro.obs.heartbeat import ProgressReporter
-from repro.obs.ledger import RunManifest, write_run
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import NULL_OBS, PROFILE_HEADER, make_obs, profile_rows
-from repro.faults.plan import build_fault_plan
-from repro.faults.resilience import ResiliencePolicy
-from repro.internet.population import build_population
-from repro.internet.shortlinks import build_shortlink_population
+from repro.obs.ledger import RunManifest, record_run
+from repro.obs.profile import NULL_OBS, Obs, make_obs, render_profile
+from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
 from repro.sim.clock import utc_timestamp
 
 
@@ -46,8 +55,9 @@ class ReproductionConfig:
     The defaults favour a quick run (a couple of minutes); the benchmark
     suite is the full-calibration reference. ``crawl_workers > 1`` (or
     ``crawl_shards > 1``) routes the crawl campaigns through the sharded
-    parallel executor; the merged results are identical to the sequential
-    path, only faster.
+    parallel executor with ``max(crawl_shards, crawl_workers)`` shards; the
+    merged results are identical to the sequential path, only faster.
+    ``repro-mining crawl`` runs one dataset under the same config.
     """
 
     seed: int = 2018
@@ -87,6 +97,25 @@ class ReproductionConfig:
     #: scan only K sampled ranks per stratum (0 = the full population)
     sample_per_stratum: int = 0
 
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """The crawls' injection plan; ``None`` without a fault profile."""
+        return build_fault_plan(self.fault_profile, seed=self.seed)
+
+    def campaign_params(self) -> dict:
+        """Run-manifest params of the campaign settings every crawl records."""
+        return {
+            "seed": self.seed,
+            "shards": self.crawl_shards,
+            "workers": self.crawl_workers,
+            "executor": self.crawl_executor,
+            "fault_profile": self.fault_profile,
+            "heartbeat": self.heartbeat,
+            "timeseries_interval": self.timeseries_interval,
+            "population_size": self.population_size,
+            "strata": self.strata,
+            "sample_per_stratum": self.sample_per_stratum,
+        }
+
 
 @dataclass
 class ReproductionReport:
@@ -110,53 +139,143 @@ class ReproductionReport:
         return "\n".join(lines) + "\n"
 
 
-def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
-    """Run every experiment; returns the assembled report."""
-    config = config if config is not None else ReproductionConfig()
-    report = ReproductionReport(config=config)
-    observe = (
-        bool(config.trace_out)
-        or config.profile
-        or config.run_dir is not None
-        or config.timeseries_interval > 0
-    )
-    obs = make_obs(prefix="repro") if observe else NULL_OBS
-    progress = ProgressReporter(config.heartbeat) if config.heartbeat > 0 else None
-    recorder = None
-    if config.timeseries_interval > 0:
-        from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
+@dataclass
+class ObservedRun:
+    """The observability around one ``crawl`` or ``reproduce`` run.
 
-        # origin anchored at the current obs-clock reading: tick times are
-        # relative, and a PerfClock's absolute value is arbitrary
-        recorder = TimeSeriesRecorder(
-            registry=obs.registry,
-            interval=config.timeseries_interval,
-            origin=get_clock().now(),
+    :meth:`start` sets up obs, progress and the time-series recorder from a
+    config's flags; campaigns fold their verdicts, attribution graph and
+    fault ledger into it; :meth:`finish` closes the recorder and writes the
+    trace and the run directory.
+    """
+
+    config: ReproductionConfig
+    obs: Obs
+    progress: Optional[object] = None
+    recorder: Optional[TimeSeriesRecorder] = None
+    verdicts: list = field(default_factory=list)  # populated only on observed runs
+    graph: Graph = field(default_factory=Graph)  # stays empty on unobserved runs
+    fault_ledger: FaultLedger = field(default_factory=FaultLedger)
+
+    @classmethod
+    def start(cls, config: ReproductionConfig, prefix: str) -> "ObservedRun":
+        observe = (
+            bool(config.trace_out)
+            or config.profile
+            or config.run_dir is not None
+            or config.timeseries_interval > 0
         )
-        progress = RecorderProgress(recorder, progress)
-    clock = get_clock()
-    started = clock.now()
+        run = cls(config=config, obs=make_obs(prefix=prefix) if observe else NULL_OBS)
+        if config.heartbeat > 0:
+            run.progress = ProgressReporter(config.heartbeat)
+        if config.timeseries_interval > 0:
+            # origin anchored at the current obs-clock reading: tick times are
+            # relative, and a PerfClock's absolute value is arbitrary
+            run.recorder = TimeSeriesRecorder(
+                registry=run.obs.registry,
+                interval=config.timeseries_interval,
+                origin=get_clock().now(),
+            )
+            run.progress = RecorderProgress(run.recorder, run.progress)
+        return run
 
-    # ---- Figure 2 + Tables 1-3 ------------------------------------------------
-    fault_plan = (
-        build_fault_plan(config.fault_profile, seed=config.seed)
-        if config.fault_profile
-        else None
-    )
-    # chaos and checkpointing ride on the sharded executor (which carries
-    # the per-shard fault ledgers), even with a single serial shard
-    # a run dir and heartbeats also imply it: the persisted metrics carry
-    # the shard plane, and the reporter hooks the executor's site loop
+    def finish(self, command: str, params: dict) -> Optional[RunManifest]:
+        """Close the run; returns the run-dir manifest when one was written.
+
+        The manifest records ``params`` on top of ``config.campaign_params()``.
+        """
+        config = self.config
+        if self.recorder is not None:
+            self.recorder.finish(get_clock().now())
+        if config.trace_out:
+            self.obs.tracer.write_jsonl(config.trace_out)
+        if config.run_dir is None:
+            return None
+        return record_run(
+            config.run_dir, command, {**config.campaign_params(), **params},
+            self.obs.registry, self.fault_ledger,
+            spans=self.obs.tracer.spans,
+            verdicts=self.verdicts,
+            timeseries=self.recorder.timeseries() if self.recorder is not None else None,
+            graph=self.graph,
+        )
+
+
+#: columns of one per-stratum prevalence row
+STRATUM_HEADER = ["stratum", "probed", "hits", "prevalence", "stratum size", "est. domains"]
+
+
+def stratum_cells(row) -> list:
+    """One :class:`~repro.analysis.crawl.StratumPrevalence` under ``STRATUM_HEADER``."""
+    return [
+        row.stratum, row.probed, row.hits, f"{row.prevalence:.4%}",
+        row.population_size, row.estimated_domains,
+    ]
+
+
+@dataclass
+class DatasetCrawl:
+    """One dataset's campaign: the two zgrab scans, then the Chrome pass."""
+
+    scans: list
+    #: None for zgrab-only datasets and streamed populations
+    chrome: Optional[ChromeCampaignResult] = None
+    #: shard metrics of the second zgrab scan and of the Chrome pass
+    #: (sharded runs only)
+    zgrab_metrics: Optional[CampaignMetrics] = None
+    chrome_metrics: Optional[CampaignMetrics] = None
+
+
+def crawl_dataset(
+    dataset: str,
+    run: ObservedRun,
+    counter_prefix: str,
+    signature_db: Optional[str] = None,
+    announce=None,
+) -> DatasetCrawl:
+    """Build ``dataset``'s population and run its campaigns under ``run.config``.
+
+    Streams a ``population_size`` population when set (zgrab plane only),
+    else materializes ``crawl_scale``. Verdicts, graph and
+    fault ledger fold into ``run``; the summary counters land under
+    ``<counter_prefix>.zgrab{0,1}.*`` and ``<counter_prefix>.chrome.*``.
+    ``announce(population)`` is called once the population is built.
+    """
+    config, obs = run.config, run.obs
+    fault_plan = config.fault_plan()
     streaming = config.population_size > 0
-    parallel_crawl = (
+    if streaming:
+        strata = (
+            parse_strata(config.strata, DATASETS[dataset]) if config.strata else None
+        )
+        population = StreamingPopulation(
+            dataset,
+            seed=config.seed,
+            size=config.population_size,
+            strata=strata,
+            sample_per_stratum=config.sample_per_stratum,
+        )
+    else:
+        population = build_population(dataset, seed=config.seed, scale=config.crawl_scale)
+    if fault_plan is not None:
+        population.attach_fault_plan(fault_plan)
+    if announce is not None:
+        announce(population)
+    # chaos and checkpointing ride on the sharded executor (it carries the
+    # per-shard fault ledgers and journals), even with a single serial
+    # shard; run dirs, heartbeats and streaming populations ride on it too:
+    # the persisted metrics carry the shard plane, and the reporter hooks
+    # the executor's site loop
+    sharded = (
         streaming
         or config.crawl_shards > 1
         or config.crawl_workers > 1
         or fault_plan is not None
         or config.checkpoint_dir is not None
         or config.run_dir is not None
-        or progress is not None
+        or run.progress is not None
     )
+    # at least one shard per worker: fewer shards would leave workers idle
     parallel_config = ParallelConfig(
         shards=max(config.crawl_shards, config.crawl_workers),
         workers=config.crawl_workers,
@@ -164,101 +283,108 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         resilience=ResiliencePolicy() if fault_plan is not None else None,
         checkpoint_dir=config.checkpoint_dir,
     )
+    result = DatasetCrawl(scans=[])
+    if sharded:
+        zgrab = ShardedZgrabCampaign(
+            population=population, config=parallel_config, obs=obs, progress=run.progress
+        )
+        for scan_index in (0, 1):  # metrics hold the most recent scan only
+            result.scans.append(zgrab.scan(scan_index))
+            if zgrab.metrics is not None:
+                run.fault_ledger.merge(zgrab.metrics.fault_ledger)
+        result.zgrab_metrics = zgrab.metrics
+    else:
+        with obs.span("campaign", kind="zgrab", mode="sequential", dataset=dataset):
+            result.scans = ZgrabCampaign(population=population, obs=obs).both_scans()
+    for scan_index, scan in enumerate(result.scans):
+        run.verdicts.extend(scan.verdicts)
+        if scan.graph is not None:
+            run.graph.merge(scan.graph)
+        # campaign-level summary counters: schedule-independent, so
+        # persisted runs diff on them (and CI can gate on ratios)
+        prefix = f"{counter_prefix}.zgrab{scan_index}"
+        obs.inc(f"{prefix}.domains_probed", scan.domains_probed)
+        obs.inc(f"{prefix}.nocoin_domains", scan.nocoin_domains)
+        obs.inc(f"{prefix}.fetch_failures", scan.fetch_failures)
+        for row in scan.stratum_rows:
+            obs.inc(f"{prefix}.stratum.{row.stratum}.probed", row.probed)
+            obs.inc(f"{prefix}.stratum.{row.stratum}.hits", row.hits)
+    if streaming or not population.spec.chrome_crawl:
+        return result
+    if sharded:
+        chrome = ShardedChromeCampaign(
+            population=population,
+            recipe=PopulationRecipe(
+                dataset,
+                seed=config.seed,
+                scale=config.crawl_scale,
+                fault_profile=config.fault_profile,
+            ),
+            config=parallel_config,
+            signature_db_path=signature_db,
+            obs=obs,
+            progress=run.progress,
+        )
+        result.chrome = chrome.run()
+        if chrome.metrics is not None:
+            run.fault_ledger.merge(chrome.metrics.fault_ledger)
+        result.chrome_metrics = chrome.metrics
+    else:
+        detector = None
+        if signature_db:
+            detector = PageDetector()
+            detector.classifier.database = SignatureDatabase.from_json(
+                pathlib.Path(signature_db).read_text()
+            )
+        with obs.span("campaign", kind="chrome", mode="sequential", dataset=dataset):
+            result.chrome = ChromeCampaign(
+                population=population, detector=detector, obs=obs
+            ).run()
+    run.verdicts.extend(result.chrome.verdicts)
+    if result.chrome.graph is not None:
+        run.graph.merge(result.chrome.graph)
+    tab = result.chrome.cross_tab
+    obs.inc(f"{counter_prefix}.chrome.wasm_miners", tab.wasm_miner_hits)
+    obs.inc(f"{counter_prefix}.chrome.nocoin_hits", tab.nocoin_hits)
+    return result
+
+
+def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
+    """Run every experiment; returns the assembled report."""
+    config = config if config is not None else ReproductionConfig()
+    report = ReproductionReport(config=config)
+    run = ObservedRun.start(config, prefix="repro")
+    obs = run.obs
+    clock = get_clock()
+    started = clock.now()
+
+    # ---- Figure 2 + Tables 1-3 ------------------------------------------------
     chrome_rows = []
     fig2_rows = []
     stratum_rows = []
-    fault_ledger = FaultLedger()
-    verdicts: list = []  # populated only on observed runs (campaigns gate)
-    run_graph = Graph()  # attribution graph; stays empty on unobserved runs
     for dataset in config.datasets:
-        if streaming:
-            from repro.internet.population import DATASETS
-            from repro.internet.streaming import StreamingPopulation, parse_strata
-
+        if config.population_size > 0:
             log(f"[crawl] {dataset} @ streaming population {config.population_size}")
-            strata = (
-                parse_strata(config.strata, DATASETS[dataset])
-                if config.strata
-                else None
-            )
-            population = StreamingPopulation(
-                dataset,
-                seed=config.seed,
-                size=config.population_size,
-                strata=strata,
-                sample_per_stratum=config.sample_per_stratum,
-            )
         else:
             log(f"[crawl] {dataset} @ scale {config.crawl_scale}")
-            population = build_population(dataset, seed=config.seed, scale=config.crawl_scale)
-        if fault_plan is not None:
-            population.attach_fault_plan(fault_plan)
-        if parallel_crawl:
-            zgrab = ShardedZgrabCampaign(
-                population=population, config=parallel_config, obs=obs, progress=progress
-            )
-            zgrab_scans = []
-            for scan_index in (0, 1):  # metrics hold the most recent scan only
-                zgrab_scans.append(zgrab.scan(scan_index))
-                if zgrab.metrics is not None:
-                    fault_ledger.merge(zgrab.metrics.fault_ledger)
-        else:
-            with obs.span("campaign", kind="zgrab", mode="sequential", dataset=dataset):
-                zgrab_scans = ZgrabCampaign(population=population, obs=obs).both_scans()
-        for scan_index, scan in enumerate(zgrab_scans):
-            verdicts.extend(scan.verdicts)
-            if scan.graph is not None:
-                run_graph.merge(scan.graph)
+        crawl = crawl_dataset(dataset, run, counter_prefix=f"crawl.{dataset}")
+        for scan_index, scan in enumerate(crawl.scans):
             fig2_rows.append(
                 [dataset, scan.scan_date, scan.nocoin_domains, f"{scan.prevalence:.4%}"]
             )
-            # campaign-level summary counters: schedule-independent, so
-            # persisted runs diff on them (and CI can gate on ratios)
-            prefix = f"crawl.{dataset}.zgrab{scan_index}"
-            obs.inc(f"{prefix}.domains_probed", scan.domains_probed)
-            obs.inc(f"{prefix}.nocoin_domains", scan.nocoin_domains)
-            obs.inc(f"{prefix}.fetch_failures", scan.fetch_failures)
-            for row in scan.stratum_rows:
-                stratum_rows.append(
-                    [dataset, scan_index, row.stratum, row.probed, row.hits,
-                     f"{row.prevalence:.4%}", row.population_size,
-                     row.estimated_domains]
-                )
-        if streaming:
-            if population.spec.chrome_crawl:
+            stratum_rows += [
+                [dataset, scan_index, *stratum_cells(row)] for row in scan.stratum_rows
+            ]
+        if crawl.chrome is None:
+            if config.population_size > 0 and DATASETS[dataset].chrome_crawl:
                 log(f"[crawl] {dataset}: chrome plane skipped (streaming run)")
             continue
-        if population.spec.chrome_crawl:
-            if parallel_crawl:
-                chrome = ShardedChromeCampaign(
-                    population=population,
-                    recipe=PopulationRecipe(
-                        dataset,
-                        seed=config.seed,
-                        scale=config.crawl_scale,
-                        fault_profile=config.fault_profile,
-                    ),
-                    config=parallel_config,
-                    obs=obs,
-                    progress=progress,
-                )
-                result = chrome.run()
-                if chrome.metrics is not None:
-                    fault_ledger.merge(chrome.metrics.fault_ledger)
-            else:
-                with obs.span("campaign", kind="chrome", mode="sequential", dataset=dataset):
-                    result = ChromeCampaign(population=population, obs=obs).run()
-            verdicts.extend(result.verdicts)
-            if result.graph is not None:
-                run_graph.merge(result.graph)
-            tab = result.cross_tab
-            top = ", ".join(f"{f}:{c}" for f, c in result.signature_counts.most_common(3))
-            chrome_rows.append(
-                [dataset, tab.wasm_miner_hits, tab.nocoin_hits,
-                 f"{tab.missed_fraction:.0%}", f"{tab.detection_factor:.1f}x", top]
-            )
-            obs.inc(f"crawl.{dataset}.chrome.wasm_miners", tab.wasm_miner_hits)
-            obs.inc(f"crawl.{dataset}.chrome.nocoin_hits", tab.nocoin_hits)
+        tab = crawl.chrome.cross_tab
+        top = ", ".join(f"{f}:{c}" for f, c in crawl.chrome.signature_counts.most_common(3))
+        chrome_rows.append(
+            [dataset, tab.wasm_miner_hits, tab.nocoin_hits,
+             f"{tab.missed_fraction:.0%}", f"{tab.detection_factor:.1f}x", top]
+        )
     report.sections["Figure 2 — NoCoin prevalence"] = render_table(
         ["dataset", "scan", "NoCoin domains", "prevalence"], fig2_rows
     )
@@ -268,16 +394,15 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
     )
     if stratum_rows:
         report.sections["Per-stratum prevalence"] = render_table(
-            ["dataset", "scan", "stratum", "probed", "hits", "prevalence",
-             "stratum size", "est. domains"],
-            stratum_rows,
+            ["dataset", "scan", *STRATUM_HEADER], stratum_rows,
         )
-    chaos_active = fault_plan is not None or config.checkpoint_dir is not None
-    if chaos_active and fault_ledger.has_events():
+    ledger = run.fault_ledger
+    chaos_active = config.fault_plan() is not None or config.checkpoint_dir is not None
+    if chaos_active and ledger.has_events():
         report.sections["Fault ledger"] = (
-            render_table(FaultLedger.SUMMARY_HEADER, fault_ledger.summary_rows())
+            render_table(FaultLedger.SUMMARY_HEADER, ledger.summary_rows())
             + "\n"
-            + fault_ledger.status_line()
+            + ledger.status_line()
         )
 
     # ---- Figures 3-4 + Tables 4-5 ------------------------------------------------
@@ -325,8 +450,8 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 confidence=1.0,
                 evidence=(attribution_evidence(block, observation.clusters),),
             )
-            verdicts.append(record)
-            add_verdict(run_graph, record)
+            run.verdicts.append(record)
+            add_verdict(run.graph, record)
     economics = EconomicsReport.from_attributed(observation.attributed)
     median_difficulty = observation.chain.median_difficulty(last=5000)
     pool_rate = observation.overall_share() * median_difficulty / 120
@@ -347,46 +472,21 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
         ],
     )
 
-    if recorder is not None:
-        recorder.finish(get_clock().now())
     if config.profile:
-        rows = profile_rows(obs.registry)
-        report.sections["Stage profile"] = (
-            render_table(PROFILE_HEADER, rows) if rows else "(no stages recorded)"
-        )
+        report.sections["Stage profile"] = render_profile(obs.registry, title="")
+    manifest = run.finish(
+        "reproduce",
+        {
+            "crawl_scale": config.crawl_scale,
+            "shortlink_scale": config.shortlink_scale,
+            "shortlink_samples": config.shortlink_samples,
+            "network_days": config.network_days,
+            "datasets": ",".join(config.datasets),
+        },
+    )
     if config.trace_out:
-        obs.tracer.write_jsonl(config.trace_out)
         log(f"[trace] {len(obs.tracer.spans)} spans -> {config.trace_out}")
-    if config.run_dir is not None:
-        manifest = RunManifest.build(
-            "reproduce",
-            {
-                "seed": config.seed,
-                "crawl_scale": config.crawl_scale,
-                "shortlink_scale": config.shortlink_scale,
-                "shortlink_samples": config.shortlink_samples,
-                "network_days": config.network_days,
-                "datasets": ",".join(config.datasets),
-                "shards": config.crawl_shards,
-                "workers": config.crawl_workers,
-                "executor": config.crawl_executor,
-                "fault_profile": config.fault_profile,
-                "heartbeat": config.heartbeat,
-                "timeseries_interval": config.timeseries_interval,
-                "population_size": config.population_size,
-                "strata": config.strata,
-                "sample_per_stratum": config.sample_per_stratum,
-            },
-        )
-        registry = MetricsRegistry()
-        registry.merge(obs.registry)
-        registry.merge(fault_ledger.as_registry())
-        write_run(
-            config.run_dir, manifest, registry, obs.tracer.spans, fault_ledger,
-            verdicts=verdicts,
-            timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=run_graph if run_graph else None,
-        )
+    if manifest is not None:
         log(f"[run] artifacts ({manifest.run_id}) -> {config.run_dir}")
 
     report.elapsed_seconds = clock.now() - started

@@ -5,18 +5,23 @@ Installed as ``repro-mining``. Subcommands mirror the paper's workflows:
 - ``fingerprint`` — signature + features + classification of .wasm files,
 - ``nocoin``      — match an HTML file's script tags against the list,
 - ``crawl``       — run a scaled zgrab+Chrome campaign over a dataset,
-- ``serve``       — one-shot verdict-server demo over specific domains,
+- ``reproduce``   — run every experiment and emit the markdown report
+  (the crawl half runs the same driver as ``crawl``, per dataset),
+- ``serve``       — one-shot verdict-server demo over specific domains, or
+  with ``--duration`` a seeded load run like ``loadgen``,
 - ``loadgen``     — seeded open-loop load run against the verdict server,
 - ``shortlinks``  — the cnhv.co study summary,
 - ``attribute``   — simulate the network and attribute Coinhive blocks,
 - ``corpus``      — dump the synthetic Wasm corpus to disk,
-- ``obs``         — analyze persisted run directories: ``obs report RUN``
-  (critical paths, slowest sites, Chrome-trace export),
-  ``obs diff BASE HEAD`` (counter/latency deltas, ``--fail-on`` gates),
-  ``obs explain RUN DOMAIN`` (the evidence chain behind one verdict), and
-  ``obs scorecard RUN`` (per-detector precision/recall vs ground truth,
-  with ``--fail-on`` quality gates), and ``obs slo RUN`` (service latency
-  and shed-rate gates over a ``loadgen --run-dir`` run).
+- ``disasm``      — disassemble .wasm files to WAT-style text,
+- ``obs``         — analyze persisted run directories: ``report``, ``diff``
+  (with ``--fail-on`` gates), ``explain`` (one verdict's evidence chain),
+  ``scorecard`` and ``slo`` (quality and service gates), ``timeline`` and
+  ``top`` (windowed telemetry; ``top --watch`` follows a live run),
+  ``export`` (Prometheus text) and ``graph neighbors|path|clusters|query``.
+
+Flags shared between subcommands are each declared once, by the
+``_add_*`` helpers of :func:`build_parser`.
 
 Every command is deterministic given ``--seed``.
 """
@@ -105,209 +110,86 @@ def _print_fault_ledger(ledger) -> None:
     print(ledger.status_line())
 
 
+def _campaign_config(args: argparse.Namespace, **fields):
+    """The ``ReproductionConfig`` of the shared crawl flags, plus ``fields``."""
+    from repro.analysis.runner import ReproductionConfig
+
+    return ReproductionConfig(
+        seed=args.seed,
+        population_size=args.population_size,
+        strata=args.strata,
+        sample_per_stratum=args.sample_per_stratum,
+        crawl_shards=args.shards,
+        crawl_workers=args.workers,
+        crawl_executor=args.executor,
+        fault_profile=args.fault_profile,
+        checkpoint_dir=args.resume_from,
+        trace_out=args.trace_out,
+        profile=args.profile,
+        run_dir=args.run_dir,
+        heartbeat=args.heartbeat,
+        timeseries_interval=args.timeseries_interval,
+        **fields,
+    )
+
+
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
-    from repro.analysis.parallel import (
-        ParallelConfig,
-        PopulationRecipe,
-        ShardedChromeCampaign,
-        ShardedZgrabCampaign,
-    )
     from repro.analysis.reporting import render_table
-    from repro.faults.ledger import FaultLedger
-    from repro.faults.plan import build_fault_plan
-    from repro.faults.resilience import ResiliencePolicy
-    from repro.internet.population import build_population
-    from repro.obs.heartbeat import ProgressReporter
-    from repro.obs.profile import NULL_OBS, make_obs, render_profile
+    from repro.analysis.runner import (
+        STRATUM_HEADER,
+        ObservedRun,
+        crawl_dataset,
+        stratum_cells,
+    )
+    from repro.internet.population import DATASETS
+    from repro.obs.profile import render_profile
 
-    timeseries_interval = getattr(args, "timeseries_interval", 0.0) or 0.0
-    if timeseries_interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
+    streaming = args.population_size > 0
+    if streaming and DATASETS[args.dataset].chrome_crawl and not args.zgrab_only:
+        # refuse rather than silently skip the Chrome plane: a streamed
+        # chrome-crawl dataset would produce tables missing half the
+        # paper's numbers without saying so
+        print(
+            f"error: --population-size streams the zgrab plane only, but "
+            f"dataset {args.dataset!r} includes a Chrome pass; pass "
+            f"--zgrab-only to run just the zgrab plane, or drop "
+            f"--population-size and use --scale for Chrome experiments",
+            file=sys.stderr,
+        )
         return 2
-    observe = (
-        bool(args.trace_out)
-        or args.profile
-        or args.run_dir is not None
-        or timeseries_interval > 0
-    )
-    obs = make_obs(prefix="crawl") if observe else NULL_OBS
-    progress = ProgressReporter(args.heartbeat) if args.heartbeat > 0 else None
-    recorder = None
-    if timeseries_interval > 0:
-        from repro.obs.clock import get_clock
-        from repro.obs.timeseries import RecorderProgress, TimeSeriesRecorder
+    config = _campaign_config(args, crawl_scale=args.scale, datasets=(args.dataset,))
+    chaos = config.fault_plan() is not None
+    run = ObservedRun.start(config, prefix="crawl")
 
-        # anchor the tick origin at the current obs-clock reading: under a
-        # PerfClock the absolute time is arbitrary, and TickRecord times
-        # are relative to this origin anyway
-        recorder = TimeSeriesRecorder(
-            registry=obs.registry,
-            interval=timeseries_interval,
-            origin=get_clock().now(),
-        )
-        progress = RecorderProgress(recorder, progress)
-    plan = build_fault_plan(args.fault_profile, seed=args.seed)
-    population_size = getattr(args, "population_size", 0) or 0
-    streaming = population_size > 0
-    if streaming:
-        from repro.internet.population import DATASETS
-
-        if DATASETS[args.dataset].chrome_crawl and not getattr(args, "zgrab_only", False):
-            # refuse rather than silently skip the Chrome plane: a streamed
-            # chrome-crawl dataset would produce tables missing half the
-            # paper's numbers without saying so
+    def announce(population) -> None:
+        if chaos:
+            print(f"fault profile: {args.fault_profile} (seed={args.seed})")
+        if args.signature_db:
+            print(f"signature db: {args.signature_db}")
+        if streaming:
             print(
-                f"error: --population-size streams the zgrab plane only, but "
-                f"dataset {args.dataset!r} includes a Chrome pass; pass "
-                f"--zgrab-only to run just the zgrab plane, or drop "
-                f"--population-size and use --scale for Chrome experiments",
-                file=sys.stderr,
+                f"dataset={args.dataset} population={population.size} "
+                f"scanned={len(population.scan_indices())} strata="
+                + ",".join(s.name for s in population.strata)
             )
-            return 2
-    # chaos and checkpoint/resume need the sharded executor (it carries the
-    # fault ledgers and the per-shard journals), even with one serial shard;
-    # run dirs, heartbeats, and streaming populations ride on it for the
-    # same reason
-    parallel = (
-        streaming
-        or args.shards > 1 or args.workers > 1
-        or plan is not None or args.resume_from is not None
-        or args.run_dir is not None or progress is not None
-    )
-    if streaming:
-        from repro.internet.population import DATASETS
-        from repro.internet.streaming import StreamingPopulation, parse_strata
-
-        strata_text = getattr(args, "strata", "") or ""
-        strata = (
-            parse_strata(strata_text, DATASETS[args.dataset]) if strata_text else None
-        )
-        population = StreamingPopulation(
-            args.dataset,
-            seed=args.seed,
-            size=population_size,
-            strata=strata,
-            sample_per_stratum=getattr(args, "sample_per_stratum", 0) or 0,
-        )
-    else:
-        population = build_population(args.dataset, seed=args.seed, scale=args.scale)
-    if plan is not None:
-        population.attach_fault_plan(plan)
-        print(f"fault profile: {args.fault_profile} (seed={args.seed})")
-    signature_db = getattr(args, "signature_db", None)
-    if signature_db:
-        print(f"signature db: {signature_db}")
-    population_ledger = FaultLedger()
-    if streaming:
-        scanned = len(population.scan_indices())
-        print(
-            f"dataset={args.dataset} population={population.size} "
-            f"scanned={scanned} strata="
-            + ",".join(s.name for s in population.strata)
-        )
-    else:
-        print(f"dataset={args.dataset} sites={len(population.sites)} scale={args.scale}")
-    if parallel:
-        config = ParallelConfig(
-            shards=args.shards,
-            workers=args.workers,
-            mode=args.executor,
-            resilience=ResiliencePolicy() if plan is not None else None,
-            checkpoint_dir=args.resume_from,
-        )
-        zgrab = ShardedZgrabCampaign(
-            population=population, config=config, obs=obs, progress=progress
-        )
-        scans = []
-        for scan_index in (0, 1):
-            scans.append(zgrab.scan(scan_index))
-            if zgrab.metrics is not None:
-                population_ledger.merge(zgrab.metrics.fault_ledger)
-    else:
-        zgrab = ZgrabCampaign(population=population, obs=obs)
-        with obs.span("campaign", kind="zgrab", mode="sequential"):
-            scans = zgrab.both_scans()
-    from repro.graph.model import Graph
-
-    verdicts = []  # populated only on observed runs (campaigns gate)
-    run_graph = Graph()
-    for scan_index, scan in enumerate(scans):
-        verdicts.extend(scan.verdicts)
-        if scan.graph is not None:
-            run_graph.merge(scan.graph)
-        # campaign-level summary counters land in the persisted metrics, so
-        # run diffs (and CI --fail-on gates) can compare detection outcomes
-        obs.inc(f"crawl.zgrab{scan_index}.domains_probed", scan.domains_probed)
-        obs.inc(f"crawl.zgrab{scan_index}.nocoin_domains", scan.nocoin_domains)
-        obs.inc(f"crawl.zgrab{scan_index}.fetch_failures", scan.fetch_failures)
-    rows = [[s.scan_date, s.nocoin_domains, f"{s.prevalence:.4%}"] for s in scans]
-    print(render_table(["scan", "NoCoin domains", "prevalence"], rows, title="\nzgrab pass"))
-    for scan_index, scan in enumerate(scans):
-        if not scan.stratum_rows:
-            continue
-        for row in scan.stratum_rows:
-            obs.inc(f"crawl.zgrab{scan_index}.stratum.{row.stratum}.probed", row.probed)
-            obs.inc(f"crawl.zgrab{scan_index}.stratum.{row.stratum}.hits", row.hits)
-        rows = [
-            [
-                row.stratum,
-                row.probed,
-                row.hits,
-                f"{row.prevalence:.4%}",
-                row.population_size,
-                row.estimated_domains,
-            ]
-            for row in scan.stratum_rows
-        ]
-        print(
-            render_table(
-                ["stratum", "probed", "hits", "prevalence", "stratum size", "est. domains"],
-                rows,
-                title=f"\nper-stratum prevalence (scan {scan_index})",
-            )
-        )
-    if parallel and zgrab.metrics is not None:
-        _print_shard_metrics(zgrab.metrics, "\nzgrab shard metrics (second scan)")
-    if not streaming and population.spec.chrome_crawl:
-        if parallel:
-            chrome = ShardedChromeCampaign(
-                population=population,
-                recipe=PopulationRecipe(
-                    args.dataset,
-                    seed=args.seed,
-                    scale=args.scale,
-                    fault_profile=args.fault_profile or "",
-                ),
-                config=config,
-                signature_db_path=signature_db,
-                obs=obs,
-                progress=progress,
-            )
-            result = chrome.run()
-            if chrome.metrics is not None:
-                population_ledger.merge(chrome.metrics.fault_ledger)
         else:
-            chrome = None
-            detector = None
-            if signature_db:
-                from repro.core.detector import PageDetector
-                from repro.core.signatures import SignatureDatabase
+            print(f"dataset={args.dataset} sites={len(population.sites)} scale={args.scale}")
 
-                detector = PageDetector()
-                detector.classifier.database = SignatureDatabase.from_json(
-                    pathlib.Path(signature_db).read_text()
-                )
-            with obs.span("campaign", kind="chrome", mode="sequential"):
-                result = ChromeCampaign(
-                    population=population, detector=detector, obs=obs
-                ).run()
-        verdicts.extend(result.verdicts)
-        if result.graph is not None:
-            run_graph.merge(result.graph)
-        tab = result.cross_tab
-        obs.inc("crawl.chrome.wasm_miners", tab.wasm_miner_hits)
-        obs.inc("crawl.chrome.nocoin_hits", tab.nocoin_hits)
+    crawl = crawl_dataset(
+        args.dataset, run,
+        counter_prefix="crawl", signature_db=args.signature_db, announce=announce,
+    )
+    rows = [[s.scan_date, s.nocoin_domains, f"{s.prevalence:.4%}"] for s in crawl.scans]
+    print(render_table(["scan", "NoCoin domains", "prevalence"], rows, title="\nzgrab pass"))
+    for scan_index, scan in enumerate(crawl.scans):
+        if scan.stratum_rows:
+            rows = [stratum_cells(row) for row in scan.stratum_rows]
+            title = f"\nper-stratum prevalence (scan {scan_index})"
+            print(render_table(STRATUM_HEADER, rows, title=title))
+    if crawl.zgrab_metrics is not None:
+        _print_shard_metrics(crawl.zgrab_metrics, "\nzgrab shard metrics (second scan)")
+    if crawl.chrome is not None:
+        tab = crawl.chrome.cross_tab
         rows = [
             ["Wasm miner sites", tab.wasm_miner_hits],
             ["NoCoin hits", tab.nocoin_hits],
@@ -315,58 +197,32 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             ["detection factor", f"{tab.detection_factor:.1f}x"],
         ]
         print(render_table(["metric", "value"], rows, title="\nChrome pass"))
-        rows = list(result.signature_counts.most_common(5))
+        rows = list(crawl.chrome.signature_counts.most_common(5))
         print(render_table(["family", "sites"], rows, title="\ntop signatures"))
-        if parallel and chrome is not None and chrome.metrics is not None:
-            _print_shard_metrics(chrome.metrics, "\nChrome shard metrics")
-    if plan is not None or args.resume_from is not None:
-        _print_fault_ledger(population_ledger)
+        if crawl.chrome_metrics is not None:
+            _print_shard_metrics(crawl.chrome_metrics, "\nChrome shard metrics")
+    if chaos or args.resume_from is not None:
+        _print_fault_ledger(run.fault_ledger)
     if args.profile:
         print()
-        print(render_profile(obs.registry, title="stage profile"))
+        print(render_profile(run.obs.registry))
+    manifest = run.finish(
+        "crawl",
+        {
+            "dataset": args.dataset,
+            "scale": args.scale,
+            "signature_db": args.signature_db or "",
+        },
+    )
     if args.trace_out:
-        obs.tracer.write_jsonl(args.trace_out)
-        print(f"trace: {len(obs.tracer.spans)} spans -> {args.trace_out}")
-    if recorder is not None:
-        from repro.obs.clock import get_clock
-
-        recorder.finish(get_clock().now())
-        fired = sum(1 for event in recorder.alerts if event.kind == "fire")
+        print(f"trace: {len(run.obs.tracer.spans)} spans -> {args.trace_out}")
+    if run.recorder is not None:
+        fired = sum(1 for event in run.recorder.alerts if event.kind == "fire")
         print(
-            f"timeseries: {len(recorder.records)} ticks at "
-            f"{timeseries_interval:g}s, alerts fired {fired}"
+            f"timeseries: {len(run.recorder.records)} ticks at "
+            f"{args.timeseries_interval:g}s, alerts fired {fired}"
         )
-    if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
-
-        manifest = RunManifest.build(
-            "crawl",
-            {
-                "dataset": args.dataset,
-                "seed": args.seed,
-                "scale": args.scale,
-                "shards": args.shards,
-                "workers": args.workers,
-                "executor": args.executor,
-                "fault_profile": args.fault_profile or "",
-                "heartbeat": args.heartbeat,
-                "timeseries_interval": timeseries_interval,
-                "signature_db": signature_db or "",
-                "population_size": population_size,
-                "strata": getattr(args, "strata", "") or "",
-                "sample_per_stratum": getattr(args, "sample_per_stratum", 0) or 0,
-            },
-        )
-        registry = MetricsRegistry()
-        registry.merge(obs.registry)
-        registry.merge(population_ledger.as_registry())
-        write_run(
-            args.run_dir, manifest, registry, obs.tracer.spans, population_ledger,
-            verdicts=verdicts,
-            timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=run_graph if run_graph else None,
-        )
+    if manifest is not None:
         print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
     return 0
 
@@ -375,14 +231,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.faults.plan import build_fault_plan
     from repro.internet.population import build_population
-    from repro.service.loadgen import LoadgenConfig, build_requests, synthesize_capture
-    from repro.service.server import ServiceRequest, VerdictServer
+    from repro.service.loadgen import (
+        LoadgenConfig,
+        LoadReport,
+        build_requests,
+        run_loadgen,
+        schedule_requests,
+        synthesize_capture,
+    )
+    from repro.service.server import VerdictServer
     from repro.wasm.builder import WasmCorpusBuilder
 
     interval = args.timeseries_interval
-    if interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
-        return 2
     if interval > 0 and args.duration <= 0:
         print(
             "error: --timeseries-interval needs --duration; the recorder ticks "
@@ -405,13 +265,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    population = build_population(args.dataset, seed=args.seed, scale=args.scale)
-    server = VerdictServer(
-        population=population,
-        fault_plan=build_fault_plan(args.fault_profile, seed=args.seed),
-    )
     duration_mode = args.duration > 0
-    recorder = None
     if duration_mode:
         config = LoadgenConfig(
             seed=args.seed,
@@ -419,74 +273,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scale=args.scale,
             rate=args.rate,
             duration=args.duration,
+            fault_profile=args.fault_profile,
+            timeseries_interval=interval,
+            heartbeat=args.heartbeat,
         )
-        requests = build_requests(config, population)
-        if interval > 0:
-            from repro.obs.alerts import default_service_rules
-            from repro.obs.timeseries import TimeSeriesRecorder
-
-            flush_path = None
-            if args.run_dir is not None:
-                flush_path = pathlib.Path(args.run_dir) / "timeseries.jsonl"
-                flush_path.parent.mkdir(parents=True, exist_ok=True)
-            recorder = TimeSeriesRecorder(
-                registry=server.metrics,
-                interval=interval,
-                rules=default_service_rules(),
-                flush_path=flush_path,
-            )
-            server.recorder = recorder
-        if args.heartbeat > 0:
-            from repro.obs.heartbeat import ProgressReporter
-
-            server.progress = ProgressReporter(
-                args.heartbeat,
-                label="serve",
-                clock=lambda: server.clock.now,
-                health=server.service_health,
-            )
         print(
             f"dataset={args.dataset} offered={args.rate:g}r/s x "
-            f"{args.duration:g}s capacity~{server.policy.nominal_capacity:.0f}r/s"
+            f"{args.duration:g}s capacity~{config.policy.nominal_capacity:.0f}r/s"
         )
-    elif args.domains:
-        sites = {site.domain: site for site in population.sites}
-        corpus = WasmCorpusBuilder(root_seed=args.seed)
-        cache: dict = {}
-        requests = []
-        for index, domain in enumerate(args.domains):
-            site = sites.get(domain)
-            if site is None:
-                print(
-                    f"error: {domain!r} is not in the {args.dataset} population "
-                    f"(scale={args.scale})",
-                    file=sys.stderr,
-                )
-                return 2
-            wasm_dumps, websocket_urls = synthesize_capture(site, corpus, cache)
-            arrival = index * 0.1  # spaced arrivals: a demo, not a load test
-            requests.append(
-                ServiceRequest(
-                    tenant="cli",
-                    domain=domain,
-                    arrival=arrival,
-                    deadline=arrival + server.policy.request_deadline,
-                    wasm_dumps=wasm_dumps,
-                    websocket_urls=websocket_urls,
-                    sequence=index,
-                )
-            )
+        report = run_loadgen(config, run_dir=args.run_dir, label="serve")
     else:
         config = LoadgenConfig(seed=args.seed, dataset=args.dataset, scale=args.scale)
-        requests = build_requests(config, population)[: args.requests]
-    responses = server.run(requests)
-    if recorder is not None:
-        recorder.finish(server.clock.now)
-    if not duration_mode:
+        population = build_population(args.dataset, seed=args.seed, scale=args.scale)
+        server = VerdictServer(
+            population=population,
+            fault_plan=build_fault_plan(args.fault_profile, seed=args.seed),
+        )
+        if args.domains:
+            sites = {site.domain: site for site in population.sites}
+            corpus = WasmCorpusBuilder(root_seed=args.seed)
+            cache: dict = {}
+            arrivals = []
+            for index, domain in enumerate(args.domains):
+                site = sites.get(domain)
+                if site is None:
+                    print(
+                        f"error: {domain!r} is not in the {args.dataset} population "
+                        f"(scale={args.scale})",
+                        file=sys.stderr,
+                    )
+                    return 2
+                capture = synthesize_capture(site, corpus, cache)
+                # spaced arrivals: a demo, not a load test
+                arrivals.append((index * 0.1, "cli", domain, *capture))
+            requests = schedule_requests(arrivals, server.policy.request_deadline)
+        else:
+            requests = build_requests(config, population)[: args.requests]
+        report = LoadReport(config=config, server=server, responses=server.run(requests))
         # the per-domain verdict table is a demo view; a --duration run
         # serves rate x duration requests and summarizes instead
         rows = []
-        for response in responses:
+        for response in report.responses:
             if response.status == "ok":
                 verdict = "MINER" if response.is_miner else "clean"
                 detail = response.method if response.is_miner else ""
@@ -510,28 +337,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 title="verdicts",
             )
         )
-    metrics = server.metrics
     print(
-        f"offered={metrics.counter('service.requests.offered')} "
-        f"completed={metrics.counter('service.requests.completed')} "
-        f"miners={metrics.counter('service.verdict.miner')} "
-        f"errors={metrics.counter('service.fetch.errors')}"
+        f"offered={report.offered} completed={report.completed} "
+        f"miners={report.counter('service.verdict.miner')} "
+        f"errors={report.counter('service.fetch.errors')}"
     )
-    if recorder is not None:
-        fired = sum(1 for event in recorder.alerts if event.kind == "fire")
-        resolved = sum(1 for event in recorder.alerts if event.kind == "resolve")
+    if report.recorder is not None:
         print(
-            f"timeseries: {len(recorder.records)} ticks at {interval:g}s, "
-            f"alerts fired/resolved {fired}/{resolved}"
+            f"timeseries: {len(report.recorder.records)} ticks at {interval:g}s, "
+            f"alerts fired/resolved {report.alerts_fired}/{report.alerts_resolved}"
         )
-        for event in recorder.alerts:
+        for event in report.recorder.alerts:
             print(f"  [{event.kind}] {event.summary}")
-    _print_fault_ledger(server.ledger)
+    _print_fault_ledger(report.server.ledger)
     if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
-
-        manifest = RunManifest.build(
+        manifest = report.persist(
+            args.run_dir,
             "serve",
             {
                 "dataset": args.dataset,
@@ -539,24 +360,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "scale": args.scale,
                 "rate": args.rate,
                 "duration": args.duration,
-                "requests": 0 if duration_mode else len(requests),
-                "domains": ",".join(args.domains or []),
-                "fault_profile": args.fault_profile or "",
+                "requests": 0 if duration_mode else len(report.responses),
+                "domains": ",".join(args.domains),
+                "fault_profile": args.fault_profile,
                 "timeseries_interval": interval,
                 "heartbeat": args.heartbeat,
             },
-        )
-        registry = MetricsRegistry()
-        registry.merge(server.metrics)
-        registry.merge(server.ledger.as_registry())
-        from repro.graph.build import graph_from_verdicts
-
-        graph = graph_from_verdicts(server.verdicts)
-        write_run(
-            args.run_dir, manifest, registry, [], server.ledger,
-            verdicts=server.verdicts,
-            timeseries=recorder.timeseries() if recorder is not None else None,
-            graph=graph if graph else None,
         )
         print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
     return 0
@@ -566,9 +375,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_table
     from repro.service.loadgen import LoadgenConfig, run_loadgen
 
-    if args.timeseries_interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
-        return 2
     config = LoadgenConfig(
         seed=args.seed,
         dataset=args.dataset,
@@ -576,9 +382,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         duration=args.duration,
         tenants=args.tenants,
-        fault_profile=args.fault_profile or "",
-        reload_at=tuple(args.reload_at or []),
-        bad_reload_at=tuple(args.bad_reload_at or []),
+        fault_profile=args.fault_profile,
+        reload_at=tuple(args.reload_at),
+        bad_reload_at=tuple(args.bad_reload_at),
         timeseries_interval=args.timeseries_interval,
         cooldown=args.cooldown,
         heartbeat=args.heartbeat,
@@ -591,21 +397,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         f"capacity~{config.policy.nominal_capacity:.0f}r/s"
         + (f" faults={config.fault_profile}" if config.fault_profile else "")
     )
-    flush_path = None
-    if args.run_dir is not None and config.timeseries_interval > 0:
-        flush_path = pathlib.Path(args.run_dir) / "timeseries.jsonl"
-        flush_path.parent.mkdir(parents=True, exist_ok=True)
-    report = run_loadgen(config, flush_path=flush_path)
+    report = run_loadgen(config, run_dir=args.run_dir)
     print(render_table(["metric", "value"], report.summary_rows(), title="\nload report"))
     if report.recorder is not None:
         for event in report.recorder.alerts:
             print(f"[{event.kind}] {event.summary}")
     _print_fault_ledger(report.server.ledger)
     if args.run_dir is not None:
-        from repro.obs.ledger import RunManifest, write_run
-        from repro.obs.metrics import MetricsRegistry
-
-        manifest = RunManifest.build(
+        manifest = report.persist(
+            args.run_dir,
             "loadgen",
             {
                 "dataset": config.dataset,
@@ -621,18 +421,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "cooldown": config.cooldown,
                 "heartbeat": config.heartbeat,
             },
-        )
-        registry = MetricsRegistry()
-        registry.merge(report.server.metrics)
-        registry.merge(report.server.ledger.as_registry())
-        from repro.graph.build import graph_from_verdicts
-
-        graph = graph_from_verdicts(report.server.verdicts)
-        write_run(
-            args.run_dir, manifest, registry, [], report.server.ledger,
-            verdicts=report.server.verdicts,
-            timeseries=report.timeseries,
-            graph=graph if graph else None,
         )
         print(f"run artifacts ({manifest.run_id}) -> {args.run_dir}")
     return 0
@@ -683,26 +471,13 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import ReproductionConfig, run_reproduction
+    from repro.analysis.runner import run_reproduction
 
-    config = ReproductionConfig(
-        seed=args.seed,
+    config = _campaign_config(
+        args,
         crawl_scale=args.crawl_scale,
-        population_size=args.population_size,
-        strata=args.strata,
-        sample_per_stratum=args.sample_per_stratum,
         shortlink_scale=args.shortlink_scale,
         network_days=args.days,
-        crawl_shards=args.shards,
-        crawl_workers=args.workers,
-        crawl_executor=args.executor,
-        fault_profile=args.fault_profile or "",
-        checkpoint_dir=args.resume_from,
-        trace_out=args.trace_out,
-        profile=args.profile,
-        run_dir=args.run_dir,
-        heartbeat=args.heartbeat,
-        timeseries_interval=args.timeseries_interval,
     )
     report = run_reproduction(config)
     markdown = report.to_markdown()
@@ -1433,6 +1208,93 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
+    p.add_argument("--scale", type=float, default=0.1)
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    """How the crawl campaigns of ``crawl`` and ``reproduce`` run."""
+    p.add_argument(
+        "--population-size",
+        type=int,
+        default=0,
+        metavar="N",
+        help="stream N-domain index-addressable populations instead of "
+        "materializing scaled ones (zgrab plane only; constant memory per shard)",
+    )
+    p.add_argument(
+        "--strata",
+        default="",
+        help="rank strata for --population-size as name:hi_rank:signal_rate,... "
+        "(empty hi_rank = tail); default: the dataset's calibrated "
+        "top1k/top10k/top100k/top1m/tail buckets",
+    )
+    p.add_argument(
+        "--sample-per-stratum",
+        type=int,
+        default=0,
+        metavar="K",
+        help="scan only K uniformly-sampled ranks per stratum instead of the "
+        "full population (0 = full scan); prevalence tables extrapolate",
+    )
+    p.add_argument("--shards", type=_positive_int, default=1, help="split each population into N shards")
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker pool size (at least one shard each)")
+    p.add_argument(
+        "--executor",
+        choices=("serial", "thread", "process"),
+        default="thread",
+        help="shard execution mode (process = fork-based pool, Linux)",
+    )
+    p.add_argument(
+        "--resume-from",
+        default=None,
+        metavar="DIR",
+        help="checkpoint-journal directory; a rerun resumes completed sites from it "
+        "(journals are unpickled on load — use only directories this tool wrote)",
+    )
+
+
+def _add_fault_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--fault-profile",
+        default="",
+        help="chaos profile: none | mild | heavy | kind=rate,... (e.g. reset=0.2)",
+    )
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """``--run-dir`` and the live telemetry flags of every long-running command."""
+    p.add_argument(
+        "--run-dir",
+        default=None,
+        metavar="DIR",
+        help="persist run artifacts (manifest, metrics, trace, ledger, verdicts, "
+        "graph, timeseries) here for the `repro-mining obs` commands; serve "
+        "--duration and loadgen append each recorded tick to timeseries.jsonl "
+        "so `obs top --watch` can follow the run live",
+    )
+    p.add_argument(
+        "--timeseries-interval",
+        type=float,
+        default=0.0,
+        metavar="SECS",
+        help="record windowed per-tick telemetry (counter rates, windowed "
+        "latency quantiles; burn-rate alerts for serve/loadgen) every SECS "
+        "seconds, simulated for serve/loadgen, into timeseries.jsonl for "
+        "`obs timeline` / `obs top` (0 = off; serve needs --duration)",
+    )
+    p.add_argument(
+        "--heartbeat",
+        type=float,
+        default=0.0,
+        metavar="SECS",
+        help="emit a live progress line every SECS seconds (0 = off); serve "
+        "--duration and loadgen add queue depth, shed rate and degradation "
+        "tier, every SECS simulated seconds",
+    )
+
+
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-out",
@@ -1445,28 +1307,16 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print a per-stage latency table after the run",
     )
+    _add_run_flags(p)
+
+
+def _add_fail_on(p: argparse.ArgumentParser, examples: str) -> None:
     p.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run artifacts (manifest/metrics/trace/profile/ledger) "
-        "here for `repro-mining obs report/diff`",
-    )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="emit a live progress line every SECS seconds (0 = off)",
-    )
-    p.add_argument(
-        "--timeseries-interval",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="record windowed per-tick telemetry (counter rates, "
-        "windowed latency quantiles) every SECS seconds into "
-        "timeseries.jsonl for `obs timeline` / `obs top` (0 = off)",
+        "--fail-on",
+        action="append",
+        default=[],
+        metavar="EXPR",
+        help=f"exit non-zero when EXPR holds, e.g. {examples}; repeatable",
     )
 
 
@@ -1505,57 +1355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nocoin)
 
     p = sub.add_parser("crawl", help="run a scaled crawl campaign")
-    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument(
-        "--population-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stream an N-domain index-addressable population instead of "
-        "materializing --scale (zgrab plane only; constant memory per shard)",
-    )
-    p.add_argument(
-        "--strata",
-        default="",
-        help="rank strata for --population-size as name:hi_rank:signal_rate,... "
-        "(empty hi_rank = tail); default: the dataset's calibrated "
-        "top1k/top10k/top100k/top1m/tail buckets",
-    )
-    p.add_argument(
-        "--sample-per-stratum",
-        type=int,
-        default=0,
-        metavar="K",
-        help="scan only K uniformly-sampled ranks per stratum instead of the "
-        "full population (0 = full scan); prevalence tables extrapolate",
-    )
+    _add_dataset_flags(p)
+    _add_campaign_flags(p)
     p.add_argument(
         "--zgrab-only",
         action="store_true",
         help="with --population-size on a Chrome-crawl dataset, explicitly "
         "run only the zgrab plane (otherwise that combination is an error)",
     )
-    p.add_argument("--shards", type=_positive_int, default=1, help="split the population into N shards")
-    p.add_argument("--workers", type=_positive_int, default=1, help="worker pool size for shard execution")
-    p.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard execution mode (process = fork-based pool, Linux)",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,... (e.g. reset=0.2)",
-    )
-    p.add_argument(
-        "--resume-from",
-        default=None,
-        metavar="DIR",
-        help="checkpoint-journal directory; a rerun resumes completed sites from it "
-        "(journals are unpickled on load — use only directories this tool wrote)",
-    )
+    _add_fault_flag(p)
     p.add_argument(
         "--signature-db",
         default=None,
@@ -1573,8 +1381,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DOMAIN",
         help="domains to ask about (default: a seeded request sample)",
     )
-    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
-    p.add_argument("--scale", type=float, default=0.1)
+    _add_dataset_flags(p)
     p.add_argument(
         "--requests",
         type=_positive_int,
@@ -1596,40 +1403,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=40.0,
         help="offered load for --duration mode, requests/second",
     )
-    p.add_argument(
-        "--timeseries-interval",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="with --duration: record windowed telemetry every SECS simulated "
-        "seconds and evaluate the default burn-rate alert rules",
-    )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="with --duration: live progress + service health (queue depth, "
-        "shed rate, degradation tier) every SECS simulated seconds",
-    )
-    p.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run artifacts (metrics, verdicts, timeseries.jsonl) here",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,...",
-    )
+    _add_run_flags(p)
+    _add_fault_flag(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "loadgen", help="seeded open-loop load run against the verdict server"
     )
-    p.add_argument("--dataset", choices=("alexa", "com", "net", "org"), default="alexa")
-    p.add_argument("--scale", type=float, default=0.1)
+    _add_dataset_flags(p)
     p.add_argument(
         "--rate", type=float, default=40.0,
         help="aggregate offered load, requests/second split over tenants",
@@ -1638,11 +1419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=30.0, help="simulated seconds of arrivals"
     )
     p.add_argument("--tenants", type=_positive_int, default=4)
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile: none | mild | heavy | kind=rate,...",
-    )
+    _add_fault_flag(p)
     p.add_argument(
         "--reload-at",
         type=float,
@@ -1660,22 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offer an invalid bundle at simulated time T — rollback demo (repeatable)",
     )
     p.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist run artifacts here for `obs slo` / `obs explain`; with "
-        "--timeseries-interval the recorder rewrites timeseries.jsonl "
-        "atomically every tick so `obs top --watch` can follow the run live",
-    )
-    p.add_argument(
-        "--timeseries-interval",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="record windowed telemetry every SECS simulated seconds and "
-        "evaluate the default burn-rate alert rules (0 = off)",
-    )
-    p.add_argument(
         "--cooldown",
         type=float,
         default=0.0,
@@ -1683,14 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep observing SECS simulated seconds after the last arrival "
         "drains, so recovered burn-rate alerts resolve on tape",
     )
-    p.add_argument(
-        "--heartbeat",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="live progress + service health (queue depth, shed rate, "
-        "degradation tier) every SECS simulated seconds",
-    )
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("shortlinks", help="run the cnhv.co study")
@@ -1706,37 +1460,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run every experiment, emit a markdown report")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--crawl-scale", type=float, default=0.25)
-    p.add_argument(
-        "--population-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stream N-domain populations for the crawls (see `crawl --population-size`)",
-    )
-    p.add_argument("--strata", default="", help="rank strata (see `crawl --strata`)")
-    p.add_argument(
-        "--sample-per-stratum",
-        type=int,
-        default=0,
-        metavar="K",
-        help="sampled ranks per stratum (see `crawl --sample-per-stratum`)",
-    )
     p.add_argument("--shortlink-scale", type=float, default=0.004)
     p.add_argument("--days", type=int, default=28)
-    p.add_argument("--shards", type=_positive_int, default=1, help="crawl shards (see `crawl --shards`)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="crawl worker pool size")
-    p.add_argument("--executor", choices=("serial", "thread", "process"), default="thread")
-    p.add_argument(
-        "--fault-profile",
-        default="",
-        help="chaos profile for the crawls: none | mild | heavy | kind=rate,...",
-    )
-    p.add_argument(
-        "--resume-from",
-        default=None,
-        metavar="DIR",
-        help="crawl checkpoint-journal directory (see `crawl --resume-from`)",
-    )
+    _add_campaign_flags(p)
+    _add_fault_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -1762,14 +1489,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="diff even when the run identities (seed, dataset, scale...) differ",
     )
-    p_diff.add_argument(
-        "--fail-on",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="exit non-zero when EXPR holds on head, e.g. 'stage.fetch.p90>1.2x' "
-        "(trailing x = head/base ratio) or 'fault.observed.timeout>10' (absolute); "
-        "repeatable",
+    _add_fail_on(
+        p_diff,
+        "'stage.fetch.p90>1.2x' (trailing x = head/base ratio) or "
+        "'fault.observed.timeout>10' (absolute)",
     )
     p_diff.set_defaults(func=_cmd_obs_diff)
 
@@ -1791,13 +1514,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-detector precision/recall vs the synthetic ground truth",
     )
     _add_run_argument(p_score, "score a run directory without a COMPLETE marker")
-    p_score.add_argument(
-        "--fail-on",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="exit non-zero when EXPR holds, e.g. 'detector.wasm.recall<0.95' "
-        "or 'detection_factor<2'; absolute values only; repeatable",
+    _add_fail_on(
+        p_score,
+        "'detector.wasm.recall<0.95' or 'detection_factor<2'; absolute values only",
     )
     p_score.set_defaults(func=_cmd_obs_scorecard)
 
@@ -1809,14 +1528,10 @@ def build_parser() -> argparse.ArgumentParser:
         "gate a run directory without a COMPLETE marker",
         run_help="run directory written by `loadgen --run-dir`",
     )
-    p_slo.add_argument(
-        "--fail-on",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="exit non-zero when EXPR holds, e.g. 'p99>0.5' (latency seconds), "
-        "'shed_rate>0.25', 'service.reload.mixed_bundle>0'; absolute values "
-        "only; repeatable",
+    _add_fail_on(
+        p_slo,
+        "'p99>0.5' (latency seconds), 'shed_rate>0.25', "
+        "'service.reload.mixed_bundle>0'; absolute values only",
     )
     p_slo.set_defaults(func=_cmd_obs_slo)
 
@@ -1960,13 +1675,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=_cmd_obs_graph_clusters)
 
     pg = graph_parser("query", "print graph metrics; gate them with --fail-on")
-    pg.add_argument(
-        "--fail-on",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="exit non-zero when EXPR holds, e.g. 'clusters.max_miner_share>0.5' "
-        "or 'edges.includes<1'; absolute values only; repeatable",
+    _add_fail_on(
+        pg,
+        "'clusters.max_miner_share>0.5' or 'edges.includes<1'; absolute values only",
     )
     pg.set_defaults(func=_cmd_obs_graph_query)
 
@@ -1985,6 +1696,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # checked here, next to the one declaration of the run flags
+    if "timeseries_interval" in args and args.timeseries_interval < 0:
+        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

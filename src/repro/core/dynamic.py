@@ -20,7 +20,8 @@ the instruction where the budget ended.
 decoded and run once, however many pages serve it.
 
 ``benchmarks/bench_ext_dynamic_detection.py`` compares static and dynamic
-classification on a dead-code-padded corpus.
+classification on a corpus padded by
+:func:`repro.wasm.obfuscate.pad_dead_code`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core import fastpath
 from repro.core.features import Check, at_least, at_most
 from repro.wasm.decoder import WasmDecodeError, decode_module
 from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
-from repro.wasm.types import Instr, Module
+from repro.wasm.types import Module
 
 
 @dataclass(frozen=True)
@@ -164,30 +165,3 @@ class DynamicMinerDetector:
 
     def is_miner(self, module_or_bytes) -> bool:
         return self.explain(module_or_bytes)[0]
-
-
-def pad_with_dead_code(wasm_bytes: bytes, float_functions: int = 6) -> bytes:
-    """Adversarial transform: append never-called float-heavy functions.
-
-    Inflates the module's *static* float counts (confusing a static
-    instruction-mix classifier) while executed behaviour is unchanged —
-    the padded functions are not exported and never called.
-    """
-    from repro.wasm.encoder import encode_module
-    from repro.wasm.types import CodeEntry, FuncType, ValType
-
-    module = decode_module(wasm_bytes)
-    type_index = len(module.types)
-    module.types = list(module.types) + [FuncType((), (ValType.F64,))]
-    for i in range(float_functions):
-        body = []
-        for j in range(120):
-            body.append(Instr("f64.const", (float(i + 1),)))
-            body.append(Instr("f64.const", (float(j + 2),)))
-            body.append(Instr("f64.mul"))
-            body.append(Instr("drop"))
-        body.append(Instr("f64.const", (0.0,)))
-        body.append(Instr("end"))
-        module.func_type_indices.append(type_index)
-        module.codes.append(CodeEntry(body=body))
-    return encode_module(module)

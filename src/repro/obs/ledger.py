@@ -257,6 +257,29 @@ def write_run(
     return directory
 
 
+def record_run(
+    run_dir,
+    command: str,
+    params: dict,
+    registry: MetricsRegistry,
+    fault_ledger: FaultLedger,
+    spans: Iterable[Span] = (),
+    **artifacts,
+) -> RunManifest:
+    """The ``--run-dir`` step of every command: build the manifest, fold the
+    fault ledger's counters into ``registry``, and :func:`write_run`.
+
+    ``artifacts`` are the optional ``verdicts``, ``timeseries`` and
+    ``graph`` of :func:`write_run`.
+    """
+    manifest = RunManifest.build(command, params)
+    merged = MetricsRegistry()
+    merged.merge(registry)
+    merged.merge(fault_ledger.as_registry())
+    write_run(run_dir, manifest, merged, spans, fault_ledger, **artifacts)
+    return manifest
+
+
 def load_run(run_dir, allow_torn: bool = False) -> RunArtifacts:
     """Load a run directory back; torn runs raise unless ``allow_torn``."""
     directory = pathlib.Path(run_dir)

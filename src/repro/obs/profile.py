@@ -175,5 +175,5 @@ def render_profile(registry: MetricsRegistry, title: str = "stage profile") -> s
 
     rows = profile_rows(registry)
     if not rows:
-        return f"{title}: (no stages recorded)"
+        return f"{title}: (no stages recorded)" if title else "(no stages recorded)"
     return render_table(PROFILE_HEADER, rows, title=title)

@@ -20,6 +20,7 @@ degraded tier gives up.
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +28,7 @@ from repro.core.detector import TIER_STATIC_ONLY
 from repro.core.nocoin import FilterList
 from repro.faults.plan import build_fault_plan
 from repro.internet.population import build_population
+from repro.obs.ledger import record_run
 from repro.service.admission import ServicePolicy
 from repro.service.bundles import DetectionBundle
 from repro.service.server import ServiceRequest, VerdictServer
@@ -171,6 +173,18 @@ class LoadReport:
             else []
         )
 
+    def persist(self, run_dir, command: str, params: dict):
+        """Persist the run under ``run_dir``: metrics, fault ledger, verdicts,
+        timeseries and the verdicts' attribution graph."""
+        from repro.graph.build import graph_from_verdicts
+
+        return record_run(
+            run_dir, command, params, self.server.metrics, self.server.ledger,
+            verdicts=self.server.verdicts,
+            timeseries=self.timeseries,
+            graph=graph_from_verdicts(self.server.verdicts),
+        )
+
 
 # ---------------------------------------------------------------------------
 # request synthesis
@@ -211,8 +225,13 @@ def build_requests(config: LoadgenConfig, population) -> list:
             arrivals.append(
                 (when, tenant, site.domain, wasm_dumps, websocket_urls)
             )
-    arrivals.sort(key=lambda item: (item[0], item[1]))
-    deadline = config.policy.request_deadline
+    return schedule_requests(arrivals, config.policy.request_deadline)
+
+
+def schedule_requests(arrivals, deadline: float) -> list:
+    """Requests from ``(when, tenant, domain, wasm_dumps, websocket_urls)``
+    arrivals, sorted by arrival time; each expires ``deadline`` seconds in."""
+    arrivals = sorted(arrivals, key=lambda item: (item[0], item[1]))
     return [
         ServiceRequest(
             tenant=tenant,
@@ -249,16 +268,21 @@ def build_reloads(config: LoadgenConfig) -> list:
     return reloads
 
 
-def run_loadgen(config: LoadgenConfig, population=None, flush_path=None) -> LoadReport:
+def run_loadgen(
+    config: LoadgenConfig, population=None, run_dir=None, label: str = "loadgen"
+) -> LoadReport:
     """Run one seeded open-loop load campaign against a fresh server.
 
     With ``config.timeseries_interval > 0`` a
     :class:`~repro.obs.timeseries.TimeSeriesRecorder` rides the sim
-    clock, evaluating burn-rate alert rules every tick;  ``flush_path``
-    (typically ``<run-dir>/timeseries.jsonl``) makes it rewrite the
-    artifact atomically on every tick so ``repro obs top --watch`` can
-    follow the run live. ``config.cooldown`` extends observation past the
-    last drained request so recovered alerts resolve on tape.
+    clock, evaluating burn-rate alert rules every tick. With ``run_dir``
+    it appends each tick to ``<run_dir>/timeseries.jsonl``, so ``repro obs
+    top --watch`` can follow the run live; it rewrites the file atomically
+    only on the first flush, when the appended lines would overflow its
+    ring, and once more at the end.
+    ``config.cooldown`` extends observation past the last drained request
+    so recovered alerts resolve on tape. ``label`` names the heartbeat
+    lines; ``serve --duration`` and ``loadgen`` both run through here.
     """
     if population is None:
         population = build_population(
@@ -278,6 +302,10 @@ def run_loadgen(config: LoadgenConfig, population=None, flush_path=None) -> Load
         rules = config.alert_rules
         if rules is None:
             rules = default_service_rules()
+        flush_path = None
+        if run_dir is not None:
+            flush_path = pathlib.Path(run_dir) / "timeseries.jsonl"
+            flush_path.parent.mkdir(parents=True, exist_ok=True)
         recorder = TimeSeriesRecorder(
             registry=server.metrics,
             interval=config.timeseries_interval,
@@ -290,7 +318,7 @@ def run_loadgen(config: LoadgenConfig, population=None, flush_path=None) -> Load
 
         server.progress = ProgressReporter(
             config.heartbeat,
-            label="loadgen",
+            label=label,
             clock=lambda: server.clock.now,
             health=server.service_health,
         )

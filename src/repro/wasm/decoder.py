@@ -76,6 +76,8 @@ class _Reader:
             value, self.pos = leb128.decode_s(self.data, self.pos, max_bits=32)
         except leb128.LEBError as exc:
             raise WasmDecodeError(str(exc)) from exc
+        if self.pos > self.end:
+            raise WasmDecodeError("LEB128 ran past section end")
         return value
 
     def s64(self) -> int:
@@ -83,6 +85,8 @@ class _Reader:
             value, self.pos = leb128.decode_s(self.data, self.pos, max_bits=64)
         except leb128.LEBError as exc:
             raise WasmDecodeError(str(exc)) from exc
+        if self.pos > self.end:
+            raise WasmDecodeError("LEB128 ran past section end")
         return value
 
     def name(self) -> str:

@@ -9,7 +9,10 @@ string and reads every immediate through the bounds-checked reader, and
 :func:`decode_expr` tracks block depth by instruction name. One fix rides
 along, as in production: a blocktype byte that is neither ``0x40`` nor a
 value type raises :class:`~repro.wasm.decoder.WasmDecodeError` (the
-original let the bare ``ValueError`` escape).
+original let the bare ``ValueError`` escape). A second fix reads the
+signed ``i32.const``/``i64.const`` immediates through :func:`_signed`,
+which stops at the reader's window the way ``u32`` does (the original
+read the next body's bytes before failing).
 
 :func:`decode_module` is the production module decoder with this
 expression decoder swapped in, so ``tests/test_wasm_decoder_differential.py``
@@ -22,9 +25,21 @@ from __future__ import annotations
 import struct
 from unittest import mock
 
-from repro.wasm import decoder, opcodes
+from repro.wasm import decoder, leb128, opcodes
 from repro.wasm.decoder import WasmDecodeError
 from repro.wasm.types import Instr, ValType
+
+
+def _signed(reader, max_bits: int) -> int:
+    """A signed LEB128 immediate, held to the reader's window as ``u32`` is."""
+    try:
+        value, pos = leb128.decode_s(reader.data, reader.pos, max_bits=max_bits)
+    except leb128.LEBError as exc:
+        raise WasmDecodeError(str(exc)) from exc
+    if pos > reader.end:
+        raise WasmDecodeError("LEB128 ran past section end")
+    reader.pos = pos
+    return value
 
 
 def decode_instr(reader) -> Instr:
@@ -51,9 +66,9 @@ def decode_instr(reader) -> Instr:
     if kind == "memarg":
         return Instr(spec.name, (reader.u32(), reader.u32()))
     if kind == "i32":
-        return Instr(spec.name, (reader.s32(),))
+        return Instr(spec.name, (_signed(reader, 32),))
     if kind == "i64":
-        return Instr(spec.name, (reader.s64(),))
+        return Instr(spec.name, (_signed(reader, 64),))
     if kind == "f32":
         return Instr(spec.name, (struct.unpack("<f", reader.bytes_(4))[0],))
     if kind == "f64":

@@ -6,16 +6,13 @@ import pytest
 
 from repro.core import dynamic, fastpath
 from repro.core.classifier import MinerClassifier
-from repro.core.dynamic import (
-    DynamicMinerDetector,
-    pad_with_dead_code,
-    profile_execution,
-)
+from repro.core.dynamic import DynamicMinerDetector, profile_execution
 from repro.core.features import extract_features
 from repro.core.signatures import SignatureDatabase
 from repro.wasm.builder import ModuleBlueprint
 from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
+from repro.wasm.obfuscate import pad_dead_code
 from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Module, ValType
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -141,7 +138,7 @@ class TestProfileMemo:
 
 class TestDeadCodePadding:
     def test_padding_preserves_decode_and_execution(self, coinhive_wasm):
-        padded = pad_with_dead_code(coinhive_wasm)
+        padded = pad_dead_code(coinhive_wasm)
         profile = profile_execution(padded)
         original = profile_execution(coinhive_wasm)
         # executed behaviour identical: dead functions never run
@@ -149,14 +146,14 @@ class TestDeadCodePadding:
         assert profile.float_density == original.float_density
 
     def test_padding_inflates_static_float_counts(self, coinhive_wasm):
-        padded = pad_with_dead_code(coinhive_wasm)
+        padded = pad_dead_code(coinhive_wasm)
         static = extract_features(padded)
         assert static.float_density > 0.3  # statically it looks like a codec
 
     def test_static_classifier_fooled_dynamic_not(self, coinhive_wasm):
         """The headline property: padding defeats the static instruction-mix
         cascade (unknown signature, stripped names) but not the dynamic one."""
-        padded = pad_with_dead_code(coinhive_wasm)
+        padded = pad_dead_code(coinhive_wasm)
         # strip names so the static cascade must rely on instruction mix
         module = decode_module(padded)
         module.func_names = {}

@@ -1,0 +1,97 @@
+"""`crawl` and `reproduce` share one crawl driver (``repro.analysis.runner``).
+
+The same dataset crawled through ``main(["crawl", ...])`` and through
+``run_reproduction`` yields the same summary counters (``crawl.zgrab{i}.*``
+against ``crawl.<dataset>.zgrab{i}.*``) and the same verdict records, and a
+crawl with more workers than shards runs one shard per worker without
+changing what it finds.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.runner import ReproductionConfig, run_reproduction
+from repro.cli import main
+from repro.obs.clock import TickClock, use_clock
+from repro.obs.ledger import load_run
+
+SEED = 7
+SCALE = 0.03
+
+
+def _crawl(run_dir, *flags) -> None:
+    with use_clock(TickClock()):
+        assert main([
+            "--seed", str(SEED), "crawl", "--dataset", "net", "--scale", str(SCALE),
+            *flags, "--run-dir", str(run_dir),
+        ]) == 0
+
+
+def _zgrab_counters(registry, prefix: str) -> dict:
+    return {
+        name[len(prefix):]: value
+        for name, value in registry.counters.items()
+        if name.startswith(prefix + "zgrab")
+    }
+
+
+def _crawl_verdicts(artifacts) -> list:
+    return [
+        record.to_dict()
+        for record in artifacts.verdicts
+        if record.pipeline != "pool"
+    ]
+
+
+@pytest.mark.parametrize(
+    "streamed",
+    [False, True],
+    ids=["materialized", "streamed"],
+)
+def test_crawl_and_reproduce_agree(tmp_path, capsys, streamed):
+    stream_flags = (
+        ["--population-size", "3000", "--strata", "top1k:1000:0.02,tail::0.003"]
+        if streamed
+        else []
+    )
+    _crawl(tmp_path / "crawl", *stream_flags)
+    config = ReproductionConfig(
+        seed=SEED,
+        datasets=("net",),
+        crawl_scale=SCALE,
+        shortlink_scale=0.0005,
+        network_days=1,
+        run_dir=str(tmp_path / "reproduce"),
+        population_size=3000 if streamed else 0,
+        strata="top1k:1000:0.02,tail::0.003" if streamed else "",
+    )
+    with use_clock(TickClock()):
+        run_reproduction(config, log=lambda *_args: None)
+    crawl = load_run(tmp_path / "crawl")
+    reproduce = load_run(tmp_path / "reproduce")
+
+    counters = _zgrab_counters(crawl.registry, "crawl.")
+    assert counters["zgrab0.domains_probed"] > 0
+    if streamed:
+        assert any(".stratum." in name for name in counters)
+    assert counters == _zgrab_counters(reproduce.registry, "crawl.net.")
+    verdicts = _crawl_verdicts(crawl)
+    assert {record["pipeline"] for record in verdicts} == {"zgrab0", "zgrab1"}
+    assert verdicts == _crawl_verdicts(reproduce)
+
+
+def test_each_worker_gets_a_shard(tmp_path, capsys):
+    _crawl(tmp_path / "serial", "--executor", "serial")
+    _crawl(tmp_path / "thread", "--executor", "thread", "--workers", "3")
+    serial = load_run(tmp_path / "serial")
+    threaded = load_run(tmp_path / "thread")
+
+    campaigns = [span for span in threaded.spans if span.name == "campaign"]
+    assert [span.tags["shards"] for span in campaigns] == ["3", "3"]
+    shard_ids = {span.tags["shard"] for span in threaded.spans if "shard" in span.tags}
+    assert shard_ids == {"0", "1", "2"}
+    assert threaded.registry.counters == serial.registry.counters
+    assert (tmp_path / "thread" / "verdicts.jsonl").read_bytes() == (
+        tmp_path / "serial" / "verdicts.jsonl"
+    ).read_bytes()

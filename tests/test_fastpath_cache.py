@@ -36,11 +36,12 @@ from repro.core.signatures import (
     whole_module_signature,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.core.dynamic import pad_with_dead_code, profile_execution
+from repro.core.dynamic import profile_execution
 from repro.wasm.builder import ModuleBlueprint, WasmCorpusBuilder, all_blueprints
 from repro.wasm.decoder import WasmDecodeError, decode_module
 from repro.wasm.interp import InvalidCode
 from repro.core.features import extract_features
+from repro.wasm.obfuscate import pad_dead_code
 from tests.test_core_dynamic import CALL_OUT_OF_RANGE, one_function_module
 
 _builder = WasmCorpusBuilder()
@@ -106,7 +107,7 @@ class TestProfileMemo:
     def test_profile_equals_fresh_profile(self, blueprint, padded, repeats):
         wasm = _builder.build(blueprint)
         if padded:
-            wasm = pad_with_dead_code(wasm)
+            wasm = pad_dead_code(wasm)
         cache = WasmCache()
         expected = profile_execution(decode_module(wasm))
         for _ in range(repeats):

@@ -21,10 +21,11 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dynamic import pad_with_dead_code, profile_execution
+from repro.core.dynamic import profile_execution
 from repro.wasm.builder import all_blueprints
 from repro.wasm.decoder import decode_module
 from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
+from repro.wasm.obfuscate import pad_dead_code
 from repro.wasm.types import (
     CodeEntry, Export, FuncType, Global, Import, Instr, Limits, Module, ValType,
 )
@@ -337,7 +338,7 @@ class TestGeneratedPrograms:
 
 def _corpus_module(corpus, blueprint, padded: bool) -> Module:
     data = corpus.build(blueprint)
-    return decode_module(pad_with_dead_code(data) if padded else data)
+    return decode_module(pad_dead_code(data) if padded else data)
 
 
 class TestCorpus:

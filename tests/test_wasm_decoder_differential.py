@@ -22,11 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classifier import MinerClassifier
-from repro.core.dynamic import DynamicDecision, DynamicMinerDetector, pad_with_dead_code
+from repro.core.dynamic import DynamicDecision, DynamicMinerDetector
 from repro.wasm import opcodes
 from repro.wasm.builder import WasmCorpusBuilder, all_blueprints
 from repro.wasm.decoder import WasmDecodeError, _Reader, decode_expr, decode_module
 from repro.wasm.encoder import encode_module
+from repro.wasm.obfuscate import pad_dead_code
 from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Module
 from tests.oracles import wasm_decoder as oracle
 
@@ -80,7 +81,7 @@ class TestCorpus:
         for blueprint in _BLUEPRINTS if not padded else _BLUEPRINTS[::4]:
             wasm = _BUILDER.build(blueprint)
             if padded:
-                wasm = pad_with_dead_code(wasm)
+                wasm = pad_dead_code(wasm)
             assert _assert_same(wasm)[0] == "ok", blueprint
 
     def test_no_immediate_instructions_are_shared(self):
@@ -153,6 +154,19 @@ class TestExpressionStreams:
         assert _outcome(lambda _: run(decode_expr), body) == _outcome(
             lambda _: run(oracle.decode_expr), body
         )
+
+    @pytest.mark.parametrize(
+        "body, end",
+        [
+            (b"\x41\x80\x01\x0b", 2),  # i32.const, LEB128 ends one byte past
+            (b"\x42\x80\x80\x01\x0b", 3),  # i64.const, likewise
+        ],
+        ids=["i32", "i64"],
+    )
+    def test_signed_immediate_stops_at_the_window(self, body, end):
+        for decode_expr_ in (decode_expr, oracle.decode_expr):
+            with pytest.raises(WasmDecodeError, match="LEB128 ran past section end"):
+                decode_expr_(_Reader(body, 0, end))
 
 
 class TestBadBlockType:
