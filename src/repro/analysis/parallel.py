@@ -475,7 +475,9 @@ def _chrome_process_entry(
 # executor core
 
 
-def _fork_pool(workers: int) -> ProcessPoolExecutor:
+def fork_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers are forked, inheriting the caller's
+    memory copy-on-write; raises where ``fork`` is unavailable."""
     if "fork" not in multiprocessing.get_all_start_methods():
         raise RuntimeError(
             "process mode needs the 'fork' start method (copy-on-write "
@@ -608,7 +610,7 @@ class _ShardedCampaignBase:
             else:  # process
                 _FORK_STATE["population"] = self.population
                 try:
-                    with _fork_pool(config.workers) as pool:
+                    with fork_pool(config.workers) as pool:
                         partials, shard_metrics = _collect_shards(
                             submit_process, sizes, pool, config, progress
                         )

@@ -12,7 +12,10 @@ crawl driver that ``repro-mining crawl`` shares with it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pathlib
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +28,7 @@ from repro.analysis.parallel import (
     PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
+    fork_pool,
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
@@ -349,9 +353,104 @@ def crawl_dataset(
     return result
 
 
+@dataclass
+class NetworkStudy:
+    """What the report reads of the Figure 5 + Table 6 experiment: the two
+    rendered sections, and the attributed blocks with their observed
+    clusters, which the block verdicts cite."""
+
+    sections: dict
+    attributed: list
+    clusters: dict
+
+
+def network_study(config: ReproductionConfig) -> NetworkStudy:
+    """Simulate ``config.network_days`` of the Monero network, attribute
+    the Coinhive blocks and render Figure 5 and Table 6.
+
+    The :class:`~repro.analysis.network.NetworkObservation` (the whole
+    chain) stays here: only the small :class:`NetworkStudy` is returned,
+    so handing it back from a worker process costs little.
+    """
+    start = utc_timestamp(2018, 4, 26)
+    observation = simulate_network(
+        NetworkSimConfig(seed=config.seed, start=start, end=start + config.network_days * 86400)
+    )
+    economics = EconomicsReport.from_attributed(observation.attributed)
+    median_difficulty = observation.chain.median_difficulty(last=5000)
+    pool_rate = observation.overall_share() * median_difficulty / 120
+    high, low = user_count_bracket(max(pool_rate, 1.0))
+    sections = {
+        "Figure 5 — blocks over time": render_day_hour_heatmap(observation.day_hour_matrix()),
+        "Table 6 — economics": render_table(
+            ["quantity", "value"],
+            [
+                ["blocks attributed", len(observation.attributed)],
+                ["share of all blocks", f"{observation.overall_share():.2%}"],
+                ["attribution recall", f"{observation.attribution_recall():.1%}"],
+                ["pool hash rate", f"{pool_rate / 1e6:.1f} MH/s"],
+                ["users @20–100 H/s", f"{low:,.0f}–{high:,.0f}"],
+                ["XMR mined", f"{economics.xmr_mined:.0f}"],
+                ["USD @120/XMR", f"{economics.gross_usd:,.0f}"],
+            ],
+        ),
+    }
+    return NetworkStudy(sections, observation.attributed, observation.clusters)
+
+
+def _network_study_in_worker(config: ReproductionConfig) -> NetworkStudy:
+    """:func:`network_study` at a lower CPU priority. It finishes well
+    before the crawls, so when the host has fewer than two CPUs to give,
+    the crawls, which bound the run, should keep one."""
+    os.nice(10)
+    return network_study(config)
+
+
+def _network_pool(config: ReproductionConfig) -> Optional[ProcessPoolExecutor]:
+    """A one-worker fork pool to run :func:`network_study` beside the
+    crawls, or ``None`` to run it inline.
+
+    The study shares no input with the crawls, so a second CPU runs it for
+    free. Inline when there is no second usable CPU or no ``fork``; and
+    when the crawls fork their own process pool, which would then fork
+    while this pool's manager thread runs.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if (
+        cpus < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or config.crawl_executor == "process"
+    ):
+        return None
+    return fork_pool(1)
+
+
 def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
-    """Run every experiment; returns the assembled report."""
+    """Run every experiment; returns the assembled report.
+
+    With a second usable CPU the network study (Figure 5 + Table 6) runs
+    in a forked worker while this process runs the crawls and the
+    short-link study; see :func:`_network_pool`. The worker is gone when
+    this returns or raises.
+    """
     config = config if config is not None else ReproductionConfig()
+    # fork first: before ObservedRun.start, the heartbeat and the recorder,
+    # so the worker inherits no thread
+    pool = _network_pool(config)
+    try:
+        network = pool.submit(_network_study_in_worker, config) if pool is not None else None
+        return _reproduce(config, log, network)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _reproduce(config: ReproductionConfig, log, network: Optional[Future]) -> ReproductionReport:
+    """:func:`run_reproduction`'s experiments; ``network`` is the pending
+    network study, or ``None`` to run it inline."""
     report = ReproductionReport(config=config)
     run = ObservedRun.start(config, prefix="repro")
     obs = run.obs
@@ -430,15 +529,14 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
 
     # ---- Figure 5 + Table 6 ----------------------------------------------------------
     log(f"[network] {config.network_days} days")
-    start = utc_timestamp(2018, 4, 26)
+    # the span times what the report waits for the study: all of it inline,
+    # only the part the crawls did not cover when it ran in the worker
     with obs.span("network-sim", days=config.network_days):
-        observation = simulate_network(
-            NetworkSimConfig(seed=config.seed, start=start, end=start + config.network_days * 86400)
-        )
+        study = network.result() if network is not None else network_study(config)
     if obs.enabled:
         # block verdicts: each attribution cites its Merkle-root proof
-        obs.inc("detector.pool.blocks_attributed", len(observation.attributed))
-        for block in observation.attributed:
+        obs.inc("detector.pool.blocks_attributed", len(study.attributed))
+        for block in study.attributed:
             record = VerdictRecord(
                 subject=f"block-{block.height}",
                 dataset="network",
@@ -448,29 +546,11 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
                 family="coinhive",
                 method="pool-association",
                 confidence=1.0,
-                evidence=(attribution_evidence(block, observation.clusters),),
+                evidence=(attribution_evidence(block, study.clusters),),
             )
             run.verdicts.append(record)
             add_verdict(run.graph, record)
-    economics = EconomicsReport.from_attributed(observation.attributed)
-    median_difficulty = observation.chain.median_difficulty(last=5000)
-    pool_rate = observation.overall_share() * median_difficulty / 120
-    high, low = user_count_bracket(max(pool_rate, 1.0))
-    report.sections["Figure 5 — blocks over time"] = render_day_hour_heatmap(
-        observation.day_hour_matrix()
-    )
-    report.sections["Table 6 — economics"] = render_table(
-        ["quantity", "value"],
-        [
-            ["blocks attributed", len(observation.attributed)],
-            ["share of all blocks", f"{observation.overall_share():.2%}"],
-            ["attribution recall", f"{observation.attribution_recall():.1%}"],
-            ["pool hash rate", f"{pool_rate / 1e6:.1f} MH/s"],
-            ["users @20–100 H/s", f"{low:,.0f}–{high:,.0f}"],
-            ["XMR mined", f"{economics.xmr_mined:.0f}"],
-            ["USD @120/XMR", f"{economics.gross_usd:,.0f}"],
-        ],
-    )
+    report.sections.update(study.sections)
 
     if config.profile:
         report.sections["Stage profile"] = render_profile(obs.registry, title="")

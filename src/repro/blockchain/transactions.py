@@ -40,25 +40,23 @@ class Transaction:
     _hash: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def serialize(self) -> bytes:
-        out = bytearray()
-        out += varint.encode(self.version)
-        out += varint.encode(self.unlock_time)
-        out += varint.encode(len(self.inputs))
+        encode = varint.encode
+        parts = [encode(self.version), encode(self.unlock_time), encode(len(self.inputs))]
         for txin in self.inputs:
             if txin[0] == "gen":
-                out += b"\xff"  # txin_gen tag
-                out += varint.encode(txin[1])
+                parts += (b"\xff", encode(txin[1]))  # txin_gen tag
             else:
-                out += b"\x02"  # txin_to_key tag (simplified)
                 key_image = txin[1]
-                out += key_image if isinstance(key_image, bytes) else str(key_image).encode()
-        out += varint.encode(len(self.outputs))
+                parts += (
+                    b"\x02",  # txin_to_key tag (simplified)
+                    key_image if isinstance(key_image, bytes) else str(key_image).encode(),
+                )
+        parts.append(encode(len(self.outputs)))
         for amount, address in self.outputs:
-            out += varint.encode(amount)
             raw = address.encode("utf-8") if isinstance(address, str) else address
-            out += varint.encode(len(raw)) + raw
-        out += varint.encode(len(self.extra)) + self.extra
-        return bytes(out)
+            parts += (encode(amount), encode(len(raw)), raw)
+        parts += (encode(len(self.extra)), self.extra)
+        return b"".join(parts)
 
     def hash(self) -> bytes:
         """32-byte transaction hash (SHA3-256 of the serialization)."""

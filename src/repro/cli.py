@@ -250,6 +250,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.heartbeat > 0 and args.duration <= 0:
+        print(
+            "error: --heartbeat needs --duration; progress lines follow the "
+            "simulated arrival schedule",
+            file=sys.stderr,
+        )
+        return 2
     if args.duration > 0 and args.domains:
         print(
             "error: --duration runs a seeded arrival schedule and cannot be "

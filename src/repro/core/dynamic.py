@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.core import fastpath
 from repro.core.features import Check, at_least, at_most
 from repro.wasm.decoder import WasmDecodeError, decode_module
-from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, WasmTrap
+from repro.wasm.interp import FuelExhausted, Instance, InvalidCode, ResourceLimit, WasmTrap
 from repro.wasm.types import Module
 
 
@@ -59,7 +59,9 @@ def profile_execution(
     the hot loop. Traps and fuel exhaustion are tolerated per export; a
     fuel-exhausted kernel still contributes its executed counts (an
     infinite hashing loop is itself a signal). Invalid code is not
-    tolerated: :class:`~repro.wasm.interp.InvalidCode` propagates.
+    tolerated: :class:`~repro.wasm.interp.InvalidCode` propagates, and so
+    does :class:`~repro.wasm.interp.ResourceLimit` for a module that
+    declares more memory or locals than the interpreter allocates.
     """
     if isinstance(module_or_bytes, (bytes, bytearray)):
         module = decode_module(bytes(module_or_bytes))
@@ -82,8 +84,8 @@ def profile_execution(
             ran_any = True
         except FuelExhausted:
             ran_any = True
-        except InvalidCode:
-            raise  # invalid code fails the whole module, as compiling it would
+        except (InvalidCode, ResourceLimit):
+            raise  # fails the whole module, as compiling it would
         except WasmTrap:
             continue
 

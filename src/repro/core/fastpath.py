@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.wasm.decoder import WasmDecodeError, decode_module, function_body_bytes
-from repro.wasm.interp import InvalidCode
+from repro.wasm.interp import InvalidCode, ResourceLimit
 
 #: failures a :class:`WasmCache` field remembers: re-probing the same bytes
 #: raises a fresh instance of the same class with the same message
-_CACHED_ERRORS = (WasmDecodeError, InvalidCode)
+_CACHED_ERRORS = (WasmDecodeError, InvalidCode, ResourceLimit)
 
 # --------------------------------------------------------------------------
 # Aho-Corasick literal automaton

@@ -61,6 +61,13 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 PAGE_SIZE = 65536
 
+#: the most linear memory an instance allocates or grows to: 16 MiB, where
+#: the largest corpus module declares 33 pages (66 as its maximum)
+MAX_PAGES = 256
+#: the most locals one function may declare (V8's limit); corpus
+#: functions declare at most 8
+MAX_LOCALS = 50_000
+
 #: Executed-mix categories, in :attr:`Instance.tally` order.
 MIX = ("xor", "shift", "rotate", "load", "store", "float", "other")
 _OTHER = len(MIX) - 1
@@ -104,6 +111,12 @@ class InvalidCode(WasmTrap):
     """Raised when execution reaches code a validator would reject: a call
     to a function index past the function space, a pop from an empty
     stack, or a local, global or block that does not exist."""
+
+
+class ResourceLimit(WasmTrap):
+    """Raised before allocating when a module declares more memory than
+    :data:`MAX_PAGES` or a function more locals than :data:`MAX_LOCALS`,
+    so a capture cannot choose how much the interpreter allocates."""
 
 
 def _signed(value: int, bits: int) -> int:
@@ -322,11 +335,11 @@ def _memory_size(memory: bytearray, nxt: int) -> Handler:
     return run
 
 
-def _memory_grow(memory: bytearray, limit, nxt: int) -> Handler:
+def _memory_grow(memory: bytearray, limit: int, nxt: int) -> Handler:
     def run(stack, locals_, heights):
         delta = stack.pop()
         old_pages = len(memory) // PAGE_SIZE
-        if limit is not None and old_pages + delta > limit:
+        if old_pages + delta > limit:
             stack.append(_MASK32)  # -1: growth refused
         else:
             memory.extend(bytes(delta * PAGE_SIZE))
@@ -543,11 +556,7 @@ def _make_simple_factory(name: str) -> Callable:
         "f32.const": lambda inst, ops, nxt: _push(ops[0], nxt),
         "f64.const": lambda inst, ops, nxt: _push(ops[0], nxt),
         "memory.size": lambda inst, ops, nxt: _memory_size(inst.memory, nxt),
-        "memory.grow": lambda inst, ops, nxt: _memory_grow(
-            inst.memory,
-            inst.module.memories[0].maximum if inst.module.memories else None,
-            nxt,
-        ),
+        "memory.grow": lambda inst, ops, nxt: _memory_grow(inst.memory, inst.page_limit, nxt),
     }
     if name in fixed:
         return fixed[name]
@@ -629,7 +638,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.module.memories:
-            self.memory = bytearray(self.module.memories[0].minimum * PAGE_SIZE)
+            pages = self.module.memories[0].minimum
+            if pages > MAX_PAGES:
+                raise ResourceLimit(f"memory declares {pages} pages; the cap is {MAX_PAGES}")
+            self.memory = bytearray(pages * PAGE_SIZE)
         for glob in self.module.globals_:
             self.globals_.append(glob.init.operands[0] if glob.init.operands else 0)
         self._func_imports = [imp for imp in self.module.imports if imp.kind == 0]
@@ -663,6 +675,13 @@ class Instance:
         counts = {"total": sum(self.tally)}
         counts.update(zip(MIX[:_OTHER], self.tally))
         return counts
+
+    @property
+    def page_limit(self) -> int:
+        """The most pages ``memory.grow`` may reach: the declared maximum,
+        at most :data:`MAX_PAGES`."""
+        maximum = self.module.memories[0].maximum if self.module.memories else None
+        return MAX_PAGES if maximum is None else min(maximum, MAX_PAGES)
 
     def type_of(self, func_index: int):
         """The :class:`~repro.wasm.types.FuncType` of a function-space index."""
@@ -751,6 +770,9 @@ class Instance:
     # -- compilation --------------------------------------------------------------
 
     def _compile(self, code, functype) -> _Compiled:
+        declared = sum(count for count, _ in code.locals_)
+        if declared > MAX_LOCALS:
+            raise ResourceLimit(f"function declares {declared} locals; the cap is {MAX_LOCALS}")
         body = code.body
         spans = _scan_blocks(body)
         end = len(body)

@@ -43,8 +43,10 @@ bodies into handlers lives in :mod:`tests.oracles.wasm_interp`, checked by
 expression decoder the table-driven one replaced lives in
 :mod:`tests.oracles.wasm_decoder`, checked by
 ``tests/test_wasm_decoder_differential.py``. The web registry's linear
-host scan is :mod:`tests.oracles.web`, and the per-byte ``randbytes`` is
-:mod:`tests.oracles.rng`.
+host scan is :mod:`tests.oracles.web`, the per-byte ``randbytes`` is
+:mod:`tests.oracles.rng`, and the byte-at-a-time varint and transaction
+encoder is :mod:`tests.oracles.blockchain`, checked by
+``tests/test_blockchain_block.py``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.blockchain.transactions import (
 from repro.blockchain.merkle import tree_hash
 from repro.pool.jobs import parse_blob
 from repro.sim.rng import RngStream
+from tests.oracles import blockchain as oracle
 
 
 class TestVarint:
@@ -45,6 +46,57 @@ class TestVarint:
     def test_truncated(self):
         with pytest.raises(ValueError):
             varint.decode(b"\x80")
+
+
+#: every integer field's range: one-byte values up to 70-bit amounts
+WIDE_INT = st.integers(min_value=0, max_value=2**70)
+GEN_INPUT = st.tuples(st.just("gen"), WIDE_INT)
+KEY_INPUT = st.tuples(
+    st.just("key"),
+    st.one_of(st.binary(max_size=40), st.text(max_size=20), st.integers()),
+)
+OUTPUT = st.tuples(WIDE_INT, st.one_of(st.text(max_size=40), st.binary(max_size=40)))
+
+
+class TestEncoderOracle:
+    """The table/join encoder against the byte-at-a-time one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(WIDE_INT)
+    def test_varint_matches_oracle(self, value):
+        assert varint.encode(value) == oracle.varint_encode(value)
+
+    @given(st.integers(max_value=-1))
+    def test_varint_negative_rejected_like_oracle(self, value):
+        with pytest.raises(ValueError):
+            oracle.varint_encode(value)
+        with pytest.raises(ValueError):
+            varint.encode(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        version=WIDE_INT,
+        unlock_time=WIDE_INT,
+        inputs=st.lists(st.one_of(GEN_INPUT, KEY_INPUT), max_size=3),
+        outputs=st.lists(OUTPUT, max_size=3),
+        extra=st.binary(max_size=300),
+    )
+    def test_serialize_matches_oracle(self, version, unlock_time, inputs, outputs, extra):
+        tx = Transaction(
+            version=version,
+            unlock_time=unlock_time,
+            inputs=tuple(inputs),
+            outputs=tuple(outputs),
+            extra=extra,
+        )
+        assert tx.serialize() == oracle.serialize(tx)
+
+    def test_negative_amount_rejected_like_oracle(self):
+        tx = Transaction(version=2, unlock_time=0, inputs=(), outputs=((-1, "a"),))
+        with pytest.raises(ValueError):
+            oracle.serialize(tx)
+        with pytest.raises(ValueError):
+            tx.serialize()
 
 
 class TestTransactions:

@@ -47,6 +47,11 @@ class TestServeValidation:
         assert main(["serve", "--timeseries-interval", "0.5"]) == 2
         assert "--duration" in capsys.readouterr().err
 
+    def test_heartbeat_without_duration_is_exit_2(self, capsys):
+        assert main(["serve", "--heartbeat", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--duration" in err
+
     def test_interval_not_smaller_than_duration_is_exit_2(self, capsys):
         assert main(["serve", "--duration", "5", "--timeseries-interval", "5"]) == 2
         assert "smaller than" in capsys.readouterr().err

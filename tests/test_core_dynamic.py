@@ -1,5 +1,7 @@
 """Tests for the execution-based detector extension."""
 
+import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -9,11 +11,12 @@ from repro.core.classifier import MinerClassifier
 from repro.core.dynamic import DynamicMinerDetector, profile_execution
 from repro.core.features import extract_features
 from repro.core.signatures import SignatureDatabase
-from repro.wasm.builder import ModuleBlueprint
+from repro.wasm.builder import ModuleBlueprint, all_blueprints
 from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
+from repro.wasm.interp import MAX_LOCALS, MAX_PAGES
 from repro.wasm.obfuscate import pad_dead_code
-from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Module, ValType
+from repro.wasm.types import CodeEntry, Export, FuncType, Instr, Limits, Module, ValType
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -21,14 +24,23 @@ pytestmark = pytest.mark.filterwarnings("ignore")
 CALL_OUT_OF_RANGE = [Instr("local.get", (0,)), Instr("call", (99,)), Instr("end")]
 
 
-def one_function_module(body) -> bytes:
-    """A module exporting one ``(i32) -> ()`` function with ``body``."""
+def one_function_module(body, locals_=(), pages=None) -> bytes:
+    """A module exporting one ``(i32) -> ()`` function with ``body``, its
+    declared ``locals_`` and, with ``pages``, a memory of that minimum."""
     module = Module()
     module.types = [FuncType((ValType.I32,), ())]
     module.func_type_indices = [0]
     module.exports = [Export("f", 0, 0)]
-    module.codes = [CodeEntry(body=body)]
+    module.codes = [CodeEntry(locals_=list(locals_), body=body)]
+    if pages is not None:
+        module.memories = [Limits(pages)]
     return encode_module(module)
+
+
+#: hostile captures: a 37-byte module declaring 4,000,000 locals, and one
+#: whose memory asks for all 65,536 pages (4 GiB)
+FOUR_MILLION_LOCALS = one_function_module([Instr("end")], locals_=[(4_000_000, ValType.I32)])
+ALL_PAGES = one_function_module([Instr("end")], pages=65_536)
 
 
 class TestProfileExecution:
@@ -82,6 +94,33 @@ class TestDynamicDetector:
         assert decision.checks == ()
 
 
+class TestResourceCaps:
+    """A capture cannot choose how much the dynamic layer allocates."""
+
+    @pytest.mark.parametrize(
+        "wasm", [FOUR_MILLION_LOCALS, ALL_PAGES], ids=["locals", "pages"]
+    )
+    def test_over_a_cap_is_a_quick_small_error_decision(self, wasm, fresh_cache):
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            verdict, decision = DynamicMinerDetector().explain(wasm)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (verdict, decision) == (False, dynamic.DynamicDecision(False, error="ResourceLimit"))
+        assert elapsed < 0.05
+        assert peak < 1 << 20
+
+    def test_caps_sit_above_every_corpus_module(self, corpus):
+        for blueprint in all_blueprints():
+            module = corpus.build_module(blueprint)
+            assert module.memories[0].minimum <= MAX_PAGES // 4
+            for code in module.codes:
+                assert sum(count for count, _ in code.locals_) <= MAX_LOCALS // 1000
+
+
 @pytest.fixture()
 def fresh_cache():
     """A fresh process-wide wasm cache for the test, and a clean one after."""
@@ -125,8 +164,9 @@ class TestProfileMemo:
         [
             (one_function_module(CALL_OUT_OF_RANGE), "InvalidCode"),
             (b"\x00asm garbage", "WasmDecodeError"),
+            (FOUR_MILLION_LOCALS, "ResourceLimit"),
         ],
-        ids=["invalid-code", "undecodable"],
+        ids=["invalid-code", "undecodable", "over-a-cap"],
     )
     def test_a_cached_failure_gives_the_same_error_name(self, wasm, error, fresh_cache):
         detector = DynamicMinerDetector()

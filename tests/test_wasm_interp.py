@@ -5,7 +5,9 @@ import pytest
 from repro.wasm.builder import ModuleBlueprint, all_blueprints
 from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
-from repro.wasm.interp import FuelExhausted, Instance, WasmTrap, execute_exported
+from repro.wasm.interp import (
+    MAX_LOCALS, MAX_PAGES, FuelExhausted, Instance, ResourceLimit, WasmTrap, execute_exported,
+)
 from repro.wasm.types import CodeEntry, Export, FuncType, Import, Instr, Limits, Module, ValType
 
 
@@ -302,6 +304,27 @@ class TestMemory:
     def test_memory_grow_respects_maximum(self):
         body = [Instr("i32.const", (100,)), Instr("memory.grow", (0,))]
         assert run(body, 0, 0, memory_pages=1) == [0xFFFFFFFF]  # refused
+
+    def test_memory_grow_stops_at_the_page_cap(self):
+        module = make_module([Instr("local.get", (0,)), Instr("memory.grow", (0,))])
+        module.memories = [Limits(1)]  # no declared maximum
+        instance = Instance(module)
+        assert instance.invoke("f", MAX_PAGES, 0) == [0xFFFFFFFF]  # refused
+        assert instance.invoke("f", MAX_PAGES - 1, 0) == [1]
+        assert len(instance.memory) == MAX_PAGES * 65536
+
+    def test_declared_memory_over_the_cap_raises_before_allocating(self):
+        assert issubclass(ResourceLimit, WasmTrap)
+        with pytest.raises(ResourceLimit, match="pages"):
+            Instance(make_module([], memory_pages=MAX_PAGES + 1))
+        assert len(Instance(make_module([], memory_pages=MAX_PAGES)).memory) == MAX_PAGES * 65536
+
+    def test_declared_locals_over_the_cap_raise_at_compile(self):
+        over = make_module([], locals_=[(MAX_LOCALS, ValType.I32), (1, ValType.F64)])
+        with pytest.raises(ResourceLimit, match="locals"):
+            Instance(over).invoke("f", 0, 0)
+        at_cap = make_module([Instr("i32.const", (3,))], locals_=[(MAX_LOCALS, ValType.I32)])
+        assert Instance(at_cap).invoke("f", 0, 0) == [3]
 
 
 class TestCalls:
