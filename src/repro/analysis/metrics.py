@@ -93,10 +93,6 @@ class CampaignMetrics:
         return sum(shard.detector_hits for shard in self.shards)
 
     @property
-    def total_retries(self) -> int:
-        return sum(shard.retries for shard in self.shards)
-
-    @property
     def failed_shards(self) -> list[int]:
         return [shard.shard_id for shard in self.shards if not shard.ok]
 
@@ -122,14 +118,6 @@ class CampaignMetrics:
         for shard in self.shards:
             merged.merge(shard.as_registry())
         return merged
-
-    def all_spans(self) -> list:
-        """Spans from every shard, in shard order."""
-        spans: list = []
-        for shard in self.shards:
-            if shard.spans:
-                spans.extend(shard.spans)
-        return spans
 
     @property
     def aggregate_rate(self) -> float:

@@ -25,12 +25,11 @@ Execution modes:
   view with no pickling of the web registry.
 
 Every shard is wrapped in retry-with-exponential-backoff (the shared
-:class:`repro.faults.resilience.RetryPolicy` — re-exported here for
-backward compatibility); a shard that exhausts its retries is recorded in
-the metrics (``error`` set) and skipped instead of killing the whole
-campaign. With ``checkpoint_dir`` set, every shard journals per-site
-outcomes so a killed run resumes without repeating (or re-randomizing)
-completed work.
+:class:`repro.faults.resilience.RetryPolicy`); a shard that exhausts its
+retries is recorded in the metrics (``error`` set) and skipped instead of
+killing the whole campaign. With ``checkpoint_dir`` set, every shard
+journals per-site outcomes so a killed run resumes without repeating (or
+re-randomizing) completed work.
 """
 
 from __future__ import annotations
@@ -68,11 +67,9 @@ __all__ = [
     "EXECUTOR_MODES",
     "ParallelConfig",
     "PopulationRecipe",
-    "RetryPolicy",
     "ShardedChromeCampaign",
     "ShardedZgrabCampaign",
     "partition_indices",
-    "run_with_retry",
     "stable_shard",
 ]
 
@@ -104,10 +101,6 @@ def partition_indices(sites: list[SiteSpec], num_shards: int) -> list[list[int]]
 
 # ---------------------------------------------------------------------------
 # configuration
-#
-# (Shard retry used to be implemented here; it now lives in
-# repro.faults.resilience, shared with the zgrab fetcher and the pool
-# observer. RetryPolicy/run_with_retry stay importable from this module.)
 
 
 @dataclass(frozen=True)
@@ -385,49 +378,6 @@ def _chrome_shard_work(
     return partial, metrics
 
 
-def _call_zgrab_work(
-    population: WebPopulation,
-    shard_id: int,
-    indices: list[int],
-    scan_index: int,
-    resilience: Optional[ResiliencePolicy],
-    checkpoint_dir: Optional[str],
-    observe: bool = False,
-    progress=None,
-) -> tuple[ZgrabScanPartial, ShardMetrics]:
-    # keep the legacy positional call when the chaos/checkpoint/obs planes
-    # are off — callers (and tests) may substitute a 4-arg _zgrab_shard_work
-    if resilience is None and checkpoint_dir is None and not observe and progress is None:
-        return _zgrab_shard_work(population, shard_id, indices, scan_index)
-    return _zgrab_shard_work(
-        population, shard_id, indices, scan_index, resilience, checkpoint_dir, observe,
-        progress,
-    )
-
-
-def _call_chrome_work(
-    population: WebPopulation,
-    shard_id: int,
-    indices: list[int],
-    browser_config: BrowserConfig,
-    checkpoint_dir: Optional[str],
-    observe: bool = False,
-    progress=None,
-    signature_db_path: Optional[str] = None,
-) -> tuple[ChromeRunPartial, ShardMetrics]:
-    if (
-        checkpoint_dir is None
-        and not observe
-        and progress is None
-        and signature_db_path is None
-    ):
-        return _chrome_shard_work(population, shard_id, indices, browser_config)
-    return _chrome_shard_work(
-        population, shard_id, indices, browser_config, checkpoint_dir, observe, progress,
-        signature_db_path,
-    )
-
-
 def _zgrab_process_entry(
     shard_id: int,
     indices: list[int],
@@ -439,7 +389,7 @@ def _zgrab_process_entry(
 ) -> tuple[ZgrabScanPartial, ShardMetrics]:
     population = _FORK_STATE["population"]
     result, retries = run_with_retry(
-        lambda: _call_zgrab_work(
+        lambda: _zgrab_shard_work(
             population, shard_id, indices, scan_index, resilience, checkpoint_dir, observe
         ),
         retry,
@@ -460,7 +410,7 @@ def _chrome_process_entry(
 ) -> tuple[ChromeRunPartial, ShardMetrics]:
     population = _FORK_STATE["population"]
     result, retries = run_with_retry(
-        lambda: _call_chrome_work(
+        lambda: _chrome_shard_work(
             population, shard_id, indices, browser_config, checkpoint_dir, observe,
             None, signature_db_path,
         ),
@@ -570,19 +520,18 @@ class _ShardedCampaignBase:
     config: ParallelConfig
     obs: Obs
 
-    def _partition(self) -> tuple[list[list[int]], dict[int, int]]:
+    def _partition(self) -> list[list[int]]:
         # streaming populations publish their own plan (contiguous index
         # ranges, or stratified-sample chunks) so shards stay O(1)-memory
         plan = getattr(self.population, "shard_plan", None)
         if plan is not None:
-            shard_indices = plan(self.config.shards)
-        else:
-            shard_indices = partition_indices(self.population.sites, self.config.shards)
-        sizes = {shard_id: len(idx) for shard_id, idx in enumerate(shard_indices)}
-        return shard_indices, sizes
+            return plan(self.config.shards)
+        return partition_indices(self.population.sites, self.config.shards)
 
-    def _execute(self, submit_local, submit_process, kind: str = "campaign") -> tuple[dict[int, object], CampaignMetrics]:
-        """Run all shards under the configured mode.
+    def _execute(
+        self, shard_indices: list, submit_local, submit_process, kind: str = "campaign"
+    ) -> tuple[dict[int, object], CampaignMetrics]:
+        """Run every shard of ``shard_indices`` under the configured mode.
 
         ``submit_local(pool_or_none, shard_id)`` runs/submits a shard in
         serial or thread mode; ``submit_process(pool, shard_id)`` submits
@@ -592,7 +541,7 @@ class _ShardedCampaignBase:
         """
         config = self.config
         obs = self.obs
-        _, sizes = self._partition()
+        sizes = {shard_id: len(idx) for shard_id, idx in enumerate(shard_indices)}
         dataset = self.population.spec.name
         progress = getattr(self, "progress", None)
         if progress is not None:
@@ -655,7 +604,7 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
     progress: Optional[object] = field(default=None, repr=False)
 
     def scan(self, scan_index: int = 0) -> ZgrabScanResult:
-        shard_indices, _ = self._partition()
+        shard_indices = self._partition()
         retry = self.config.retry
         resilience = self.config.resilience
         checkpoint_dir = self.config.checkpoint_dir
@@ -666,7 +615,7 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
 
         def submit_local(pool, shard_id):
             def attempt():
-                return _call_zgrab_work(
+                return _zgrab_shard_work(
                     self.population,
                     shard_id,
                     shard_indices[shard_id],
@@ -699,7 +648,7 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
             )
 
         partials, self.metrics = self._execute(
-            submit_local, submit_process, kind=f"zgrab{scan_index}"
+            shard_indices, submit_local, submit_process, kind=f"zgrab{scan_index}"
         )
         merged = ZgrabScanPartial()
         for shard_id in sorted(partials):
@@ -748,7 +697,7 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
         return self.population
 
     def run(self) -> ChromeCampaignResult:
-        shard_indices, _ = self._partition()
+        shard_indices = self._partition()
         retry = self.config.retry
         browser_config = self.browser_config
         checkpoint_dir = self.config.checkpoint_dir
@@ -758,7 +707,7 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
 
         def submit_local(pool, shard_id):
             def attempt():
-                return _call_chrome_work(
+                return _chrome_shard_work(
                     self._shard_population(),
                     shard_id,
                     shard_indices[shard_id],
@@ -790,7 +739,9 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
                 signature_db_path,
             )
 
-        partials, self.metrics = self._execute(submit_local, submit_process, kind="chrome")
+        partials, self.metrics = self._execute(
+            shard_indices, submit_local, submit_process, kind="chrome"
+        )
         merged = ChromeRunPartial()
         for shard_id in sorted(partials):
             merged.merge(partials[shard_id])

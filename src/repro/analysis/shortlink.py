@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.coinhive.resolver import LinkResolver, duration_seconds
+from repro.coinhive.resolver import LinkResolver
 from repro.coinhive.service import CoinhiveService
 from repro.internet.shortlinks import ShortLinkPopulation
 from repro.rulespace.engine import RuleSpaceEngine
@@ -63,10 +63,6 @@ class HashRequirementResult:
     def histogram(self, unbiased: bool = False) -> Counter:
         data = self.user_bias_removed if unbiased else self.all_links
         return Counter(data)
-
-    @staticmethod
-    def duration_at_20hps(hashes: int) -> float:
-        return duration_seconds(hashes, 20.0)
 
 
 @dataclass

@@ -28,13 +28,6 @@ from repro.blockchain.transactions import Transaction, coinbase_transaction
 from repro.blockchain.block import Block, BlockHeader, NONCE_OFFSET, hashing_blob
 from repro.blockchain.difficulty import DifficultyAdjuster
 from repro.blockchain.chain import Blockchain, BlockValidationError, Mempool
-from repro.blockchain.privacy import (
-    DoubleSpendError,
-    KeyImageRegistry,
-    PrivateTransferFactory,
-    RingSignature,
-    Wallet,
-)
 
 __all__ = [
     "CryptonightParams",
@@ -51,9 +44,4 @@ __all__ = [
     "Blockchain",
     "BlockValidationError",
     "Mempool",
-    "DoubleSpendError",
-    "KeyImageRegistry",
-    "PrivateTransferFactory",
-    "RingSignature",
-    "Wallet",
 ]

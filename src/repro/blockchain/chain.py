@@ -9,14 +9,13 @@ behind the paper's "1271 XMR over four weeks" revenue estimate.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain.block import Block, BlockHeader, MAJOR_VERSION, MINOR_VERSION
 from repro.blockchain.difficulty import DifficultyAdjuster
 from repro.blockchain.hashing import CryptonightParams, DEFAULT_PARAMS, hash_meets_difficulty
-from repro.blockchain.transactions import ATOMIC_PER_XMR, Transaction, coinbase_transaction
+from repro.blockchain.transactions import Transaction, coinbase_transaction
 
 GENESIS_PREV = bytes(32)
 
@@ -137,9 +136,6 @@ class Blockchain:
     def current_reward(self) -> int:
         return base_reward(self.generated_atomic)
 
-    def block_at(self, height: int) -> Block:
-        return self.blocks[height]
-
     def block_after(self, prev_id: bytes) -> Optional[Block]:
         """The block whose header references ``prev_id`` — the lookup at the
         heart of the pool-association method."""
@@ -207,8 +203,3 @@ class Blockchain:
     def total_rewards_atomic(self, start_height: int = 1, end_height: Optional[int] = None) -> int:
         end = self.height if end_height is None else end_height
         return sum(self.blocks[h].reward() for h in range(start_height, end + 1))
-
-
-def pseudo_id(seed: bytes) -> bytes:
-    """Deterministic 32-byte id for test fixtures."""
-    return hashlib.sha3_256(b"pseudo" + seed).digest()

@@ -1700,12 +1700,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: numeric flags shared by several commands, and the bound each must meet
+_POSITIVE_FLAGS = ("scale", "crawl_scale", "shortlink_scale")
+_NON_NEGATIVE_FLAGS = ("population_size", "sample_per_stratum", "timeseries_interval")
+
+
+def _bad_shared_value(args: argparse.Namespace) -> str | None:
+    """Why a shared flag's value cannot run, or None when every one can."""
+    for name in _POSITIVE_FLAGS:
+        if name in args and getattr(args, name) <= 0:
+            return f"--{name.replace('_', '-')} must be > 0"
+    for name in _NON_NEGATIVE_FLAGS:
+        if name in args and getattr(args, name) < 0:
+            return f"--{name.replace('_', '-')} must be >= 0"
+    if getattr(args, "strata", ""):
+        from repro.internet.population import DATASETS
+        from repro.internet.streaming import parse_strata
+
+        try:
+            for spec in DATASETS.values():
+                parse_strata(args.strata, spec)
+        except ValueError as exc:
+            return f"--strata: {exc}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # checked here, next to the one declaration of the run flags
-    if "timeseries_interval" in args and args.timeseries_interval < 0:
-        print("error: --timeseries-interval must be >= 0", file=sys.stderr)
+    # checked here, next to the one declaration of the shared flags
+    problem = _bad_shared_value(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     return args.func(args)
 

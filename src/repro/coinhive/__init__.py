@@ -16,14 +16,12 @@ redirected.
   resolver (Section 4.1, "Link Destinations").
 """
 
-from repro.coinhive.captcha import CaptchaService
 from repro.coinhive.obfuscation import BlobObfuscator
 from repro.coinhive.service import CoinhiveService, CoinhiveUser
 from repro.coinhive.shortlink import ShortLink, ShortLinkService, id_to_index, index_to_id
 from repro.coinhive.resolver import LinkResolver, ResolvedLink
 
 __all__ = [
-    "CaptchaService",
     "BlobObfuscator",
     "CoinhiveService",
     "CoinhiveUser",

@@ -58,10 +58,6 @@ class WasmFeatures:
         return self.load_count / self.total_instructions if self.total_instructions else 0.0
 
     @property
-    def rotate_density(self) -> float:
-        return self.rotate_count / self.total_instructions if self.total_instructions else 0.0
-
-    @property
     def float_density(self) -> float:
         return self.float_count / self.total_instructions if self.total_instructions else 0.0
 

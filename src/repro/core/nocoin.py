@@ -11,7 +11,7 @@ adblock-nocoin-list] actually uses:
   ``script`` honored and the rest recorded),
 - ``!`` comments and ``[Adblock Plus]`` headers.
 
-The engine matches script-src URLs; :meth:`FilterList.match_text` applies
+The engine matches script-src URLs; :meth:`FilterList.explain_text` applies
 the same patterns to inline script text, reproducing how the paper ran the
 list over extracted ``<script>`` tags. The bundled default list mirrors the
 2018 NoCoin list's character — including overbroad rules (``cpmstar``) that
@@ -279,11 +279,6 @@ class FilterList:
     def match_url(self, url: str) -> Optional[FilterRule]:
         """The rule :meth:`explain_url` cites, or None."""
         match = self.explain_url(url)
-        return match.rule if match is not None else None
-
-    def match_text(self, text: str) -> Optional[FilterRule]:
-        """The rule :meth:`explain_text` cites, or None."""
-        match = self.explain_text(text)
         return match.rule if match is not None else None
 
     def match_scripts(self, scripts) -> list:

@@ -8,7 +8,6 @@ flat metrics for ``--fail-on`` CI gates.
 """
 
 from repro.graph.build import (
-    GraphBuilder,
     add_verdict,
     evidence_node_id,
     graph_from_verdicts,
@@ -29,7 +28,6 @@ from repro.graph.query import (
 __all__ = [
     "GRAPH_SCHEMA_VERSION",
     "Graph",
-    "GraphBuilder",
     "add_verdict",
     "clusters",
     "evidence_node_id",

@@ -215,25 +215,6 @@ def _add_evidence(
             graph.add_edge("requested", tenant, subject)
 
 
-class GraphBuilder:
-    """Accumulates verdicts (plus includer edges) into one graph.
-
-    A campaign keeps one builder per shard partial; the partial merge is
-    ``graph.merge`` — associative, so shard order and executor choice
-    cannot change the result.
-    """
-
-    def __init__(self, includer_layer=None) -> None:
-        self.graph = Graph()
-        self.includer_layer = includer_layer
-
-    def add(self, record: VerdictRecord, site=None) -> None:
-        includers = ()
-        if site is not None and self.includer_layer is not None:
-            includers = self.includer_layer.includers_for(site)
-        add_verdict(self.graph, record, site=site, includers=includers)
-
-
 def graph_from_verdicts(records: Iterable[VerdictRecord]) -> Graph:
     """A graph from bare verdicts (service / loadgen runs: no population)."""
     graph = Graph()

@@ -289,6 +289,8 @@ def build_population(
     ``scale`` shrinks every calibrated count proportionally (tests use
     small scales); shares and rates are scale-invariant.
     """
+    if scale <= 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     spec = DATASETS[dataset]
     web = web if web is not None else SyntheticWeb()
     corpus = corpus if corpus is not None else WasmCorpusBuilder()

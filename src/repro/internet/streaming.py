@@ -489,10 +489,6 @@ class StreamingPopulation:
         for index in source:
             yield self.site(index)
 
-    def iter_domains(self) -> Iterator[str]:
-        for index in range(self.size):
-            yield self.site(index).domain
-
     # -- ground truth -------------------------------------------------------
 
     def index_of_domain(self, domain: str) -> Optional[int]:

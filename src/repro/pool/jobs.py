@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.blockchain.block import Block, BlockHeader, hashing_blob
 from repro.blockchain.merkle import tree_hash
@@ -88,23 +87,6 @@ class Job:
     @staticmethod
     def make_id(blob: bytes, counter: int) -> str:
         return hashlib.sha256(blob + counter.to_bytes(8, "little")).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class PowInputObservation:
-    """What the paper's observer records per poll: the raw PoW input.
-
-    ``prev_id`` and ``merkle_root`` are parsed straight out of the blob (the
-    observer has no privileged view of the pool), ``seen_at`` is simulated
-    time, ``endpoint`` identifies where it was fetched.
-    """
-
-    endpoint: str
-    seen_at: float
-    blob: bytes
-    prev_id: bytes
-    merkle_root: bytes
-    num_txs: int
 
 
 def parse_blob(blob: bytes) -> tuple:

@@ -216,9 +216,3 @@ class PoolServer:
             self.payouts.distribute_block(block.reward(), self.shares.snapshot_and_reset())
             self.on_new_block(now)
         return SubmitResult(True)
-
-    # -- statistics ----------------------------------------------------------------
-
-    def distinct_pow_inputs(self) -> set:
-        """Distinct outgoing blobs currently cached across jobs."""
-        return {job.blob for job in self._jobs.values()}

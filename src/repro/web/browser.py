@@ -63,9 +63,6 @@ class PageResult:
     def websocket_urls(self) -> set:
         return {frame.url for frame in self.websocket_frames}
 
-    def has_websockets(self) -> bool:
-        return bool(self.websocket_frames)
-
     def has_wasm(self) -> bool:
         return bool(self.wasm_dumps)
 

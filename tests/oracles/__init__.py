@@ -166,7 +166,6 @@ class UncachedWasm:
 
 _FILTER_LIST_ORACLES = {
     "match_url": match_url,
-    "match_text": match_text,
     "explain_url": explain_url,
     "explain_text": explain_text,
 }
@@ -176,7 +175,7 @@ _FILTER_LIST_ORACLES = {
 def reference_paths():
     """Run the cascade on the reference implementations inside the block.
 
-    Patches the four :class:`~repro.core.nocoin.FilterList` matchers, the
+    Patches three :class:`~repro.core.nocoin.FilterList` matchers, the
     detector's script scanner (``scan_scripts`` → ``extract_scripts``) and
     ``repro.core.fastpath.shared_cache`` (→ :class:`UncachedWasm`), and
     restores all of them on exit. Process-wide, like the state it

@@ -1,66 +1,8 @@
-"""Tests for the captcha service and the WAT printer."""
+"""Tests for the WAT printer."""
 
-import pytest
-
-from repro.coinhive.captcha import CaptchaService
-from repro.core.nocoin import default_nocoin_list
 from repro.wasm.builder import ModuleBlueprint
 from repro.wasm.decoder import decode_module
 from repro.wasm.wat import disassemble, print_function, print_module
-from repro.web.html import extract_scripts
-
-
-class TestCaptcha:
-    @pytest.fixture()
-    def service(self):
-        return CaptchaService()
-
-    def test_create_and_solve(self, service):
-        challenge = service.create("SITEKEY", goal_hashes=256, now=0.0)
-        assert not challenge.solved
-        assert service.submit_hashes(challenge.challenge_id, 200, now=1.0) is None
-        token = service.submit_hashes(challenge.challenge_id, 56, now=2.0)
-        assert token is not None
-        assert challenge.solved
-
-    def test_verification_single_use(self, service):
-        challenge = service.create("S", 10, now=0.0)
-        token = service.submit_hashes(challenge.challenge_id, 10, now=1.0)
-        assert service.verify(token, now=2.0)
-        assert not service.verify(token, now=3.0)  # consumed
-
-    def test_verification_expires(self, service):
-        challenge = service.create("S", 10, now=0.0)
-        token = service.submit_hashes(challenge.challenge_id, 10, now=1.0)
-        assert not service.verify(token, now=1.0 + service.token_ttl + 1)
-
-    def test_resubmit_after_solve_returns_same_token(self, service):
-        challenge = service.create("S", 10, now=0.0)
-        first = service.submit_hashes(challenge.challenge_id, 10, now=1.0)
-        second = service.submit_hashes(challenge.challenge_id, 5, now=2.0)
-        assert first == second
-
-    def test_progress(self, service):
-        challenge = service.create("S", 100, now=0.0)
-        service.submit_hashes(challenge.challenge_id, 25, now=1.0)
-        assert challenge.progress() == 0.25
-
-    def test_unknown_challenge(self, service):
-        with pytest.raises(KeyError):
-            service.submit_hashes("nope", 1, now=0.0)
-
-    def test_invalid_goal(self, service):
-        with pytest.raises(ValueError):
-            service.create("S", 0, now=0.0)
-
-    def test_widget_is_nocoin_detectable(self, service):
-        challenge = service.create("SITEKEY", 512, now=0.0)
-        html = service.widget_html(challenge)
-        hits = default_nocoin_list().match_scripts(extract_scripts(html))
-        assert hits  # the captcha loader is a coinhive.com URL
-
-    def test_bogus_verification_token(self, service):
-        assert not service.verify("deadbeef", now=0.0)
 
 
 class TestWatPrinter:

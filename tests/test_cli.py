@@ -86,6 +86,37 @@ class TestCampaignCommands:
         assert "--zgrab-only" in captured.err
         assert "zgrab pass" not in captured.out  # nothing ran
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["crawl", "--dataset", "alexa", "--scale", "-1"], "--scale"),
+            (["crawl", "--dataset", "com", "--scale", "0"], "--scale"),
+            (
+                ["crawl", "--dataset", "com", "--population-size", "-5", "--zgrab-only"],
+                "--population-size",
+            ),
+            (
+                ["crawl", "--dataset", "com", "--population-size", "100",
+                 "--sample-per-stratum", "-3"],
+                "--sample-per-stratum",
+            ),
+            (
+                ["crawl", "--dataset", "com", "--population-size", "100", "--strata", "bad"],
+                "--strata",
+            ),
+            (["reproduce", "--crawl-scale", "0"], "--crawl-scale"),
+            (["shortlinks", "--scale", "-0.5"], "--scale"),
+        ],
+    )
+    def test_bad_campaign_value_is_one_error_line(self, argv, flag, capsys):
+        # refused before any work: a negative scale used to run a 15-site
+        # crawl, a negative --population-size a materialized scan
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}")
+        assert captured.err.count("\n") == 1
+
     def test_crawl_population_size_chrome_dataset_allowed_with_zgrab_only(self, capsys):
         assert main(
             [

@@ -95,14 +95,14 @@ class TestTextMatching:
     def test_inline_script_with_listed_host(self):
         nocoin = default_nocoin_list()
         text = "var s=document.createElement('script');s.src='https://coinhive.com/lib/x';"
-        assert nocoin.match_text(text) is not None
+        assert nocoin.explain_text(text).rule.label == "coinhive"
 
     def test_clean_inline(self):
         nocoin = default_nocoin_list()
-        assert nocoin.match_text("function add(a, b) { return a + b; }") is None
+        assert nocoin.explain_text("function add(a, b) { return a + b; }") is None
 
     def test_empty_text(self):
-        assert default_nocoin_list().match_text("") is None
+        assert default_nocoin_list().explain_text("") is None
 
 
 class TestScriptsMatching:
@@ -168,9 +168,8 @@ class TestTextCaseHandling:
         # lowercase the subject (once), not miss mixed-case inline text
         nocoin = default_nocoin_list()
         text = "var s = 'https://CoinHive.COM/lib/x.js';"
-        rule = nocoin.match_text(text)
-        assert rule is not None and rule.label == "coinhive"
         match = nocoin.explain_text(text)
+        assert match is not None and match.rule.label == "coinhive"
         assert match.matched.lower() == "coinhive.com"
         assert match.where == "text"
 
@@ -189,5 +188,5 @@ class TestTextCaseHandling:
         for mode, paths in (("production", nullcontext), ("reference", reference_paths)):
             lower_calls = []
             with paths():
-                nocoin.match_text(CountingStr("no miners in THIS inline block"))
+                nocoin.explain_text(CountingStr("no miners in THIS inline block"))
             assert sum(lower_calls) == 1, mode

@@ -119,8 +119,8 @@ def _assert_url_equivalent(filter_list: FilterList, url: str) -> None:
 
 def _assert_text_equivalent(filter_list: FilterList, text: str) -> None:
     with reference_paths():
-        reference = (filter_list.match_text(text), filter_list.explain_text(text))
-    fast = (filter_list.match_text(text), filter_list.explain_text(text))
+        reference = filter_list.explain_text(text)
+    fast = filter_list.explain_text(text)
     assert fast == reference, (text, fast, reference)
 
 

@@ -109,6 +109,11 @@ class TestWebPopulation:
         small = build_population("net", seed=1, scale=0.02)
         assert len(small.sites) < 300
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_non_positive_scale_is_refused(self, scale):
+        with pytest.raises(ValueError, match="scale must be > 0"):
+            build_population("alexa", seed=1, scale=scale)
+
     def test_all_sites_reachable_somehow(self, alexa_population):
         web = alexa_population.web
         for site in alexa_population.sites[:50]:

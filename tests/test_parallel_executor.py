@@ -13,12 +13,11 @@ import pytest
 from repro.analysis.crawl import ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
-    RetryPolicy,
     ShardedZgrabCampaign,
     partition_indices,
-    run_with_retry,
     stable_shard,
 )
+from repro.faults.resilience import RetryPolicy, run_with_retry
 from repro.internet.population import build_population
 
 try:
@@ -232,10 +231,10 @@ class TestRetry:
         shard_indices = partition_indices(population.sites, 4)
         original = parallel._zgrab_shard_work
 
-        def poisoned(pop, shard_id, indices, scan_index):
+        def poisoned(pop, shard_id, indices, scan_index, *rest):
             if shard_id == 0:
                 raise RuntimeError("poisoned")
-            return original(pop, shard_id, indices, scan_index)
+            return original(pop, shard_id, indices, scan_index, *rest)
 
         monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
         config = ParallelConfig(
@@ -260,7 +259,7 @@ class TestRetry:
 
         population = build_population("net", seed=9, scale=0.2)
 
-        def poisoned(pop, shard_id, indices, scan_index):
+        def poisoned(pop, shard_id, indices, scan_index, *rest):
             raise RuntimeError("poisoned")
 
         monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
@@ -278,11 +277,11 @@ class TestRetry:
         attempts: dict[int, int] = {}
         original = parallel._zgrab_shard_work
 
-        def flaky(pop, shard_id, indices, scan_index):
+        def flaky(pop, shard_id, indices, scan_index, *rest):
             attempts[shard_id] = attempts.get(shard_id, 0) + 1
             if shard_id == 1 and attempts[shard_id] == 1:
                 raise RuntimeError("transient")
-            return original(pop, shard_id, indices, scan_index)
+            return original(pop, shard_id, indices, scan_index, *rest)
 
         monkeypatch.setattr(parallel, "_zgrab_shard_work", flaky)
         config = ParallelConfig(
