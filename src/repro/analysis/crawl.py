@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from repro.core.detector import CrossTabulation, DetectionReport, PageDetector, cross_tabulate
-from repro.core.signatures import SignatureDatabase, build_reference_database, wasm_signature
+from repro.core.signatures import build_reference_database
 from repro.faults.checkpoint import CheckpointJournal
 from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultKind
@@ -64,6 +64,57 @@ def _replay_stage_spans(obs: Obs, stage_spans: tuple) -> None:
         with obs.span(name) as span:
             for key, value in tags:
                 span.set_tag(key, value)
+
+
+def _visit_journaled(
+    obs: Obs,
+    indexed_sites: Iterable[tuple[int, SiteSpec]],
+    journal: Optional[CheckpointJournal],
+    progress,
+    ledger: FaultLedger,
+    visit,
+    settle,
+) -> None:
+    """The per-site loop both campaigns share.
+
+    Each ``(population index, site)`` pair runs in a ``site`` span: a site
+    the ``journal`` already holds replays its recorded outcome and stage
+    spans, any other runs ``visit(site)`` and, with a journal, is recorded
+    as it completes. ``settle(span, index, site, outcome)`` folds the
+    outcome into the campaign's partial and says whether the site failed;
+    ``progress`` then advances by the site. Checkpoint tallies land in
+    ``ledger``.
+    """
+    record_spans = journal is not None and obs.enabled
+    done = journal.load() if journal is not None else {}
+    for index, site in indexed_sites:
+        with obs.span("site", domain=site.domain) as span:
+            outcome = done.get(index)
+            if outcome is not None:
+                span.set_tag("resumed", 1)
+                ledger.checkpoint_resumed += 1
+                if obs.enabled:
+                    _replay_stage_spans(obs, getattr(outcome, "stage_spans", ()))
+            else:
+                mark = len(obs.tracer.spans) if record_spans else 0
+                outcome = visit(site)
+                if journal is not None:
+                    if record_spans:
+                        outcome = replace(
+                            outcome,
+                            stage_spans=_captured_stage_spans(obs.tracer.spans, mark),
+                        )
+                    journal.record(index, outcome)
+                    ledger.checkpoint_recorded += 1
+            failed = settle(span, index, site, outcome)
+        if progress is not None:
+            progress.advance(
+                1,
+                failed=1 if failed else 0,
+                faults=outcome.ledger.total_injected,
+                breakers_opened=outcome.ledger.breaker_opened,
+                breakers_closed=outcome.ledger.breaker_closed,
+            )
 
 
 def _includers_for(population, site) -> tuple:
@@ -256,45 +307,26 @@ class ZgrabCampaign:
         )
         if self.obs.enabled:
             self.detector.collect_evidence = True
-        record_spans = journal is not None and self.obs.enabled
         partial = ZgrabScanPartial()
-        done = journal.load() if journal is not None else {}
-        for index, site in indexed_sites:
-            if scan_index == 1 and not site.present_scan2:
-                if progress is not None:
-                    progress.advance(1)  # churned between the scans
-                continue
-            with self.obs.span("site", domain=site.domain) as span:
-                outcome = done.get(index)
-                if outcome is not None:
-                    span.set_tag("resumed", 1)
-                    partial.fault_ledger.checkpoint_resumed += 1
-                    if self.obs.enabled:
-                        _replay_stage_spans(self.obs, getattr(outcome, "stage_spans", ()))
-                else:
-                    mark = len(self.obs.tracer.spans) if record_spans else 0
-                    outcome = self._scan_site(fetcher, site)
-                    if journal is not None:
-                        if record_spans:
-                            outcome = replace(
-                                outcome,
-                                stage_spans=_captured_stage_spans(
-                                    self.obs.tracer.spans, mark
-                                ),
-                            )
-                        journal.record(index, outcome)
-                        partial.fault_ledger.checkpoint_recorded += 1
-                if outcome.failed:
-                    span.set_tag("failed", 1)
-                self._apply_outcome(partial, index, site, outcome, scan_index)
-            if progress is not None:
-                progress.advance(
-                    1,
-                    failed=1 if outcome.failed else 0,
-                    faults=outcome.ledger.total_injected,
-                    breakers_opened=outcome.ledger.breaker_opened,
-                    breakers_closed=outcome.ledger.breaker_closed,
-                )
+
+        def present(indexed_sites):
+            for index, site in indexed_sites:
+                if scan_index == 1 and not site.present_scan2:
+                    if progress is not None:
+                        progress.advance(1)  # churned between the scans
+                    continue
+                yield index, site
+
+        def settle(span, index, site, outcome) -> bool:
+            if outcome.failed:
+                span.set_tag("failed", 1)
+            self._apply_outcome(partial, index, site, outcome, scan_index)
+            return outcome.failed
+
+        _visit_journaled(
+            self.obs, present(indexed_sites), journal, progress, partial.fault_ledger,
+            lambda site: self._scan_site(fetcher, site), settle,
+        )
         return partial
 
     def _scan_site(self, fetcher: ZgrabFetcher, site: SiteSpec) -> ZgrabSiteOutcome:
@@ -508,41 +540,18 @@ class ChromeCampaign:
         )
         if self.obs.enabled:
             self.detector.collect_evidence = True
-        record_spans = journal is not None and self.obs.enabled
         partial = ChromeRunPartial()
-        done = journal.load() if journal is not None else {}
-        for index, site in indexed_sites:
-            with self.obs.span("site", domain=site.domain) as span:
-                outcome = done.get(index)
-                if outcome is not None:
-                    span.set_tag("resumed", 1)
-                    partial.fault_ledger.checkpoint_resumed += 1
-                    if self.obs.enabled:
-                        _replay_stage_spans(self.obs, getattr(outcome, "stage_spans", ()))
-                else:
-                    mark = len(self.obs.tracer.spans) if record_spans else 0
-                    outcome = self._visit_site(browser, site)
-                    if journal is not None:
-                        if record_spans:
-                            outcome = replace(
-                                outcome,
-                                stage_spans=_captured_stage_spans(
-                                    self.obs.tracer.spans, mark
-                                ),
-                            )
-                        journal.record(index, outcome)
-                        partial.fault_ledger.checkpoint_recorded += 1
-                if outcome.report.status != "ok":
-                    span.set_tag("status", outcome.report.status)
-                self._apply_outcome(partial, index, site, outcome)
-            if progress is not None:
-                progress.advance(
-                    1,
-                    failed=1 if outcome.report.status == "error" else 0,
-                    faults=outcome.ledger.total_injected,
-                    breakers_opened=outcome.ledger.breaker_opened,
-                    breakers_closed=outcome.ledger.breaker_closed,
-                )
+
+        def settle(span, index, site, outcome) -> bool:
+            if outcome.report.status != "ok":
+                span.set_tag("status", outcome.report.status)
+            self._apply_outcome(partial, index, site, outcome)
+            return outcome.report.status == "error"
+
+        _visit_journaled(
+            self.obs, indexed_sites, journal, progress, partial.fault_ledger,
+            lambda site: self._visit_site(browser, site), settle,
+        )
         return partial
 
     def _visit_site(self, browser: HeadlessBrowser, site: SiteSpec) -> ChromeSiteOutcome:

@@ -18,7 +18,8 @@ the sequential path**:
 
 Execution modes:
 
-- ``serial``  — run shards in the calling thread (debugging, baselines),
+- ``serial``  — run shards in the calling thread; the mode of every
+  one-worker crawl, where a pool would only add overhead,
 - ``thread``  — ``ThreadPoolExecutor``; zero-copy sharing of the population,
 - ``process`` — ``ProcessPoolExecutor`` with the ``fork`` start method; the
   population is inherited copy-on-write, giving each worker an isolated
@@ -37,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import threading
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -110,10 +111,9 @@ class ParallelConfig:
     shards: int = 4
     workers: int = 4
     mode: str = "thread"  # serial | thread | process
+    #: per-shard retries; a shard that exhausts them is dropped and
+    #: recorded in the metrics
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: False: a shard that exhausts retries is dropped (recorded in the
-    #: metrics); True: the campaign raises instead.
-    fail_fast: bool = False
     #: per-domain retry/breaker/deadline policy handed to the campaign's
     #: fetchers; ``None`` keeps the legacy single-attempt fetch
     resilience: Optional[ResiliencePolicy] = None
@@ -158,8 +158,9 @@ class PopulationRecipe:
 # ---------------------------------------------------------------------------
 # worker-side state
 
-#: Populated in the parent just before a fork-based pool spins up; forked
-#: workers read their copy-on-write view of it. Not used in thread mode.
+#: Holds the campaign's retried shard runner (``"run_shard"``), set in the
+#: parent just before a fork-based pool spins up; forked workers read
+#: their copy-on-write view of it, population included. Process mode only.
 _FORK_STATE: dict = {}
 
 #: Per-thread (and, transitively, per-process) caches for the expensive
@@ -235,6 +236,74 @@ def _shard_checkpoint_identity(population, indices):
     return [(i, population.sites[i].domain) for i in indices]
 
 
+def _run_shard(
+    population,
+    shard_id: int,
+    indices: list[int],
+    kind: str,
+    obs: Obs,
+    checkpoint_dir: Optional[str],
+    fingerprint_parts: list,
+    work: Callable,
+    counts: Callable,
+) -> tuple[object, ShardMetrics]:
+    """One shard of either plane: journal, ``shard`` span, timing, metrics.
+
+    ``work(indexed_sites, journal)`` runs the plane's campaign over the
+    shard's sites and returns its partial; ``counts(partial)`` gives the
+    shard's ``(domains_probed, fetch_failures, detector_hits)``. The
+    journal fingerprint is ``(dataset, kind, shard, site assignment,
+    fault plan, *fingerprint_parts)``, plus ``"evidence"`` on observed runs.
+    """
+    journal = None
+    if checkpoint_dir is not None:
+        # the journal name carries the dataset — run_reproduction loops
+        # four datasets over one checkpoint_dir, and an unqualified name
+        # would replay one dataset's outcomes into another's shards
+        dataset = population.spec.name
+        parts = [
+            dataset,
+            kind,
+            shard_id,
+            _shard_checkpoint_identity(population, indices),
+            population.web.fault_plan,
+            *fingerprint_parts,
+        ]
+        if obs.enabled:
+            # observed runs journal outcomes *with* evidence chains; a
+            # journal recorded unobserved has none to replay, so it must
+            # be discarded rather than yield evidence-free verdicts
+            parts.append("evidence")
+        journal = shard_journal(
+            checkpoint_dir,
+            f"{dataset}-{kind}",
+            shard_id,
+            fingerprint=_campaign_fingerprint(*parts),
+        )
+    clock = get_clock()
+    started = clock.now()
+    try:
+        with obs.span("shard", shard=shard_id, kind=kind):
+            partial = work(((i, population.sites[i]) for i in indices), journal)
+    finally:
+        if journal is not None:
+            journal.close()
+    wall = clock.now() - started
+    domains_probed, fetch_failures, detector_hits = counts(partial)
+    metrics = ShardMetrics(
+        shard_id=shard_id,
+        sites=len(indices),
+        wall_seconds=wall,
+        domains_probed=domains_probed,
+        fetch_failures=fetch_failures,
+        detector_hits=detector_hits,
+        ledger=partial.fault_ledger,
+        registry=obs.registry if obs.enabled else None,
+        spans=obs.tracer.spans if obs.enabled else None,
+    )
+    return partial, metrics
+
+
 def _zgrab_shard_work(
     population: WebPopulation,
     shard_id: int,
@@ -255,57 +324,14 @@ def _zgrab_shard_work(
         else NULL_OBS
     )
     campaign = ZgrabCampaign(population=population, resilience=resilience, obs=obs)
-    journal = None
-    if checkpoint_dir is not None:
-        # the journal name carries the dataset — run_reproduction loops
-        # four datasets over one checkpoint_dir, and an unqualified name
-        # would replay one dataset's outcomes into another's shards
-        dataset = population.spec.name
-        fingerprint_parts = [
-            dataset,
-            f"zgrab{scan_index}",
-            shard_id,
-            _shard_checkpoint_identity(population, indices),
-            population.web.fault_plan,
-            resilience,
-        ]
-        if observe:
-            # observed runs journal outcomes *with* evidence chains; a
-            # journal recorded unobserved has none to replay, so it must
-            # be discarded rather than yield evidence-free verdicts
-            fingerprint_parts.append("evidence")
-        journal = shard_journal(
-            checkpoint_dir,
-            f"{dataset}-zgrab{scan_index}",
-            shard_id,
-            fingerprint=_campaign_fingerprint(*fingerprint_parts),
-        )
-    clock = get_clock()
-    started = clock.now()
-    try:
-        with obs.span("shard", shard=shard_id, kind=f"zgrab{scan_index}"):
-            partial = campaign.scan_sites_indexed(
-                ((i, population.sites[i]) for i in indices),
-                scan_index,
-                journal=journal,
-                progress=progress,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = clock.now() - started
-    metrics = ShardMetrics(
-        shard_id=shard_id,
-        sites=len(indices),
-        wall_seconds=wall,
-        domains_probed=partial.domains_probed,
-        fetch_failures=partial.fetch_failures,
-        detector_hits=partial.nocoin_domains,
-        ledger=partial.fault_ledger,
-        registry=obs.registry if observe else None,
-        spans=obs.tracer.spans if observe else None,
+    return _run_shard(
+        population, shard_id, indices, f"zgrab{scan_index}", obs, checkpoint_dir,
+        [resilience],
+        lambda sites, journal: campaign.scan_sites_indexed(
+            sites, scan_index, journal=journal, progress=progress
+        ),
+        lambda partial: (partial.domains_probed, partial.fetch_failures, partial.nocoin_domains),
     )
-    return partial, metrics
 
 
 def _chrome_shard_work(
@@ -326,99 +352,24 @@ def _chrome_shard_work(
         rulespace=RuleSpaceEngine(),
         obs=obs,
     )
-    journal = None
-    if checkpoint_dir is not None:
-        dataset = population.spec.name
-        fingerprint_parts = [
-            dataset,
-            "chrome",
-            shard_id,
-            _shard_checkpoint_identity(population, indices),
-            population.web.fault_plan,
-            browser_config,
-        ]
-        if signature_db_path:
-            # a different signature catalogue changes verdicts; stale
-            # journals from another db must not replay into this run
-            fingerprint_parts.append(signature_db_path)
-        if observe:
-            # same contract as the zgrab journals: only journals whose
-            # outcomes carry evidence may replay into an observed run
-            fingerprint_parts.append("evidence")
-        journal = shard_journal(
-            checkpoint_dir,
-            f"{dataset}-chrome",
-            shard_id,
-            fingerprint=_campaign_fingerprint(*fingerprint_parts),
-        )
-    clock = get_clock()
-    started = clock.now()
-    try:
-        with obs.span("shard", shard=shard_id, kind="chrome"):
-            partial = campaign.run_sites(
-                ((i, population.sites[i]) for i in indices),
-                journal=journal,
-                progress=progress,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = clock.now() - started
-    metrics = ShardMetrics(
-        shard_id=shard_id,
-        sites=len(indices),
-        wall_seconds=wall,
-        domains_probed=len(indices),
-        fetch_failures=sum(1 for _, report in partial.reports if report.status == "error"),
-        detector_hits=partial.miner_wasm_sites,
-        ledger=partial.fault_ledger,
-        registry=obs.registry if observe else None,
-        spans=obs.tracer.spans if observe else None,
-    )
-    return partial, metrics
-
-
-def _zgrab_process_entry(
-    shard_id: int,
-    indices: list[int],
-    scan_index: int,
-    retry: RetryPolicy,
-    resilience: Optional[ResiliencePolicy] = None,
-    checkpoint_dir: Optional[str] = None,
-    observe: bool = False,
-) -> tuple[ZgrabScanPartial, ShardMetrics]:
-    population = _FORK_STATE["population"]
-    result, retries = run_with_retry(
-        lambda: _zgrab_shard_work(
-            population, shard_id, indices, scan_index, resilience, checkpoint_dir, observe
+    # a different signature catalogue changes verdicts; stale journals
+    # from another db must not replay into this run
+    fingerprint_parts = [browser_config] + ([signature_db_path] if signature_db_path else [])
+    return _run_shard(
+        population, shard_id, indices, "chrome", obs, checkpoint_dir, fingerprint_parts,
+        lambda sites, journal: campaign.run_sites(sites, journal=journal, progress=progress),
+        lambda partial: (
+            len(indices),
+            sum(1 for _, report in partial.reports if report.status == "error"),
+            partial.miner_wasm_sites,
         ),
-        retry,
-        key=(f"zgrab{scan_index}", f"shard{shard_id}"),
     )
-    result[1].retries = retries
-    return result
 
 
-def _chrome_process_entry(
-    shard_id: int,
-    indices: list[int],
-    browser_config: BrowserConfig,
-    retry: RetryPolicy,
-    checkpoint_dir: Optional[str] = None,
-    observe: bool = False,
-    signature_db_path: Optional[str] = None,
-) -> tuple[ChromeRunPartial, ShardMetrics]:
-    population = _FORK_STATE["population"]
-    result, retries = run_with_retry(
-        lambda: _chrome_shard_work(
-            population, shard_id, indices, browser_config, checkpoint_dir, observe,
-            None, signature_db_path,
-        ),
-        retry,
-        key=("chrome", f"shard{shard_id}"),
-    )
-    result[1].retries = retries
-    return result
+def _process_entry(shard_id: int) -> tuple[object, ShardMetrics]:
+    """Run one shard in a forked worker: the campaign stored its retried
+    attempt in ``_FORK_STATE`` before the pool forked."""
+    return _FORK_STATE["run_shard"](shard_id)
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +390,38 @@ def fork_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _collect_shards(
-    submit: Callable[[Executor, int], "object"],
+    run_shard: Callable[[int], tuple],
     shard_sizes: dict[int, int],
     pool: Optional[Executor],
-    config: ParallelConfig,
+    retry: RetryPolicy,
     progress=None,
 ) -> tuple[dict[int, object], list[ShardMetrics]]:
     """Run every shard, gathering partials and metrics (failures included).
 
-    ``progress`` is only passed here in process mode, where per-site
-    advances cannot cross the fork boundary — the parent advances one
-    whole shard at a time as results come back.
+    ``run_shard(shard_id)`` runs inline without a ``pool``, else is
+    submitted to it. ``progress`` is only passed here in process mode,
+    where per-site advances cannot cross the fork boundary — the parent
+    advances one whole shard at a time as results come back.
     """
     partials: dict[int, object] = {}
-    failures: list[ShardMetrics] = []
-    metrics_by_shard: dict[int, ShardMetrics] = {}
+    all_metrics: list[ShardMetrics] = []
 
-    def record(shard_id: int, outcome) -> None:
-        partial, shard_metrics = outcome
+    def settle(shard_id: int, outcome: Callable[[], tuple]) -> None:
+        try:
+            partial, shard_metrics = outcome()
+        except Exception as exc:
+            # a shard that exhausts its retries is dropped, not fatal
+            all_metrics.append(
+                ShardMetrics(
+                    shard_id=shard_id,
+                    sites=shard_sizes[shard_id],
+                    retries=retry.max_attempts - 1,
+                    error=str(exc) or type(exc).__name__,
+                )
+            )
+            return
         partials[shard_id] = partial
-        metrics_by_shard[shard_id] = shard_metrics
+        all_metrics.append(shard_metrics)
         if progress is not None:
             ledger = shard_metrics.ledger
             progress.advance(
@@ -471,46 +434,12 @@ def _collect_shards(
 
     if pool is None:  # serial
         for shard_id in shard_sizes:
-            try:
-                record(shard_id, submit(None, shard_id))
-            except Exception as exc:
-                if config.fail_fast:
-                    raise
-                failures.append(
-                    ShardMetrics(
-                        shard_id=shard_id,
-                        sites=shard_sizes[shard_id],
-                        retries=config.retry.max_attempts - 1,
-                        error=str(exc) or type(exc).__name__,
-                    )
-                )
+            settle(shard_id, lambda: run_shard(shard_id))
     else:
-        futures = {submit(pool, shard_id): shard_id for shard_id in shard_sizes}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                shard_id = futures[future]
-                try:
-                    record(shard_id, future.result())
-                except Exception as exc:
-                    if config.fail_fast:
-                        for other in pending:
-                            other.cancel()
-                        raise
-                    failures.append(
-                        ShardMetrics(
-                            shard_id=shard_id,
-                            sites=shard_sizes[shard_id],
-                            retries=config.retry.max_attempts - 1,
-                            error=str(exc) or type(exc).__name__,
-                        )
-                    )
-
-    all_metrics = sorted(
-        list(metrics_by_shard.values()) + failures, key=lambda m: m.shard_id
-    )
-    return partials, all_metrics
+        futures = {pool.submit(run_shard, shard_id): shard_id for shard_id in shard_sizes}
+        for future in as_completed(futures):
+            settle(futures[future], future.result)
+    return partials, sorted(all_metrics, key=lambda m: m.shard_id)
 
 
 class _ShardedCampaignBase:
@@ -519,6 +448,8 @@ class _ShardedCampaignBase:
     population: WebPopulation
     config: ParallelConfig
     obs: Obs
+    #: live heartbeat reporter (``--heartbeat``); ``None`` costs nothing
+    progress: Optional[object]
 
     def _partition(self) -> list[list[int]]:
         # streaming populations publish their own plan (contiguous index
@@ -529,42 +460,58 @@ class _ShardedCampaignBase:
         return partition_indices(self.population.sites, self.config.shards)
 
     def _execute(
-        self, shard_indices: list, submit_local, submit_process, kind: str = "campaign"
+        self, shard_indices: list, attempt: Callable, kind: str
     ) -> tuple[dict[int, object], CampaignMetrics]:
         """Run every shard of ``shard_indices`` under the configured mode.
 
-        ``submit_local(pool_or_none, shard_id)`` runs/submits a shard in
-        serial or thread mode; ``submit_process(pool, shard_id)`` submits
-        the module-level fork entry point. All wall clocks come from the
-        injectable obs clock, so a ``TickClock`` makes the derived rates
-        (``domains_per_sec``, ``parallel_efficiency``) reproducible.
+        ``attempt(shard_id, progress)`` runs one shard and returns its
+        ``(partial, ShardMetrics)``; each shard's attempts retry under
+        ``config.retry`` with the key ``(kind, "shard<id>")``. Serial and
+        thread mode hand ``attempt`` the heartbeat reporter for per-site
+        advances; process mode hands it ``None`` and advances per shard
+        in the parent. All wall clocks come from the injectable obs clock,
+        so a ``TickClock`` makes the derived rates (``domains_per_sec``,
+        ``parallel_efficiency``) reproducible.
         """
         config = self.config
         obs = self.obs
         sizes = {shard_id: len(idx) for shard_id, idx in enumerate(shard_indices)}
         dataset = self.population.spec.name
-        progress = getattr(self, "progress", None)
+        progress = self.progress
         if progress is not None:
             progress.begin(total=sum(sizes.values()), label=f"{dataset}-{kind}")
+        site_progress = progress if config.mode != "process" else None
+
+        def run_shard(shard_id: int) -> tuple:
+            result, retries = run_with_retry(
+                lambda: attempt(shard_id, site_progress),
+                config.retry,
+                key=(kind, f"shard{shard_id}"),
+            )
+            result[1].retries = retries
+            return result
+
         clock = get_clock()
         started = clock.now()
         with obs.span(
             "campaign", kind=kind, mode=config.mode, shards=config.shards, dataset=dataset
         ) as campaign_span:
             if config.mode == "serial":
-                partials, shard_metrics = _collect_shards(submit_local, sizes, None, config)
+                partials, shard_metrics = _collect_shards(run_shard, sizes, None, config.retry)
             elif config.mode == "thread":
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    partials, shard_metrics = _collect_shards(submit_local, sizes, pool, config)
-            else:  # process
-                _FORK_STATE["population"] = self.population
+                    partials, shard_metrics = _collect_shards(
+                        run_shard, sizes, pool, config.retry
+                    )
+            else:  # process: forked workers inherit run_shard copy-on-write
+                _FORK_STATE["run_shard"] = run_shard
                 try:
                     with fork_pool(config.workers) as pool:
                         partials, shard_metrics = _collect_shards(
-                            submit_process, sizes, pool, config, progress
+                            _process_entry, sizes, pool, config.retry, progress
                         )
                 finally:
-                    _FORK_STATE.pop("population", None)
+                    _FORK_STATE.pop("run_shard", None)
         wall = clock.now() - started
         if progress is not None:
             progress.finish()
@@ -590,8 +537,8 @@ class _ShardedCampaignBase:
 class ShardedZgrabCampaign(_ShardedCampaignBase):
     """Shard-parallel drop-in for :class:`ZgrabCampaign`.
 
-    ``scan``/``both_scans`` return the same :class:`ZgrabScanResult` values
-    the sequential campaign produces; ``metrics`` holds the per-shard
+    ``scan`` returns the same :class:`ZgrabScanResult` values the
+    sequential campaign produces; ``metrics`` holds the per-shard
     measurements of the most recent scan.
     """
 
@@ -600,63 +547,25 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
     metrics: Optional[CampaignMetrics] = None
     #: observability context; shard traces and registries merge into it
     obs: Obs = field(default=NULL_OBS, repr=False)
-    #: live heartbeat reporter (``--heartbeat``); ``None`` costs nothing
     progress: Optional[object] = field(default=None, repr=False)
 
     def scan(self, scan_index: int = 0) -> ZgrabScanResult:
         shard_indices = self._partition()
-        retry = self.config.retry
-        resilience = self.config.resilience
-        checkpoint_dir = self.config.checkpoint_dir
-        observe = self.obs.enabled
-        # per-site advances in serial/thread; process advances per shard
-        # in the parent (see _collect_shards)
-        progress = self.progress if self.config.mode != "process" else None
 
-        def submit_local(pool, shard_id):
-            def attempt():
-                return _zgrab_shard_work(
-                    self.population,
-                    shard_id,
-                    shard_indices[shard_id],
-                    scan_index,
-                    resilience,
-                    checkpoint_dir,
-                    observe,
-                    progress,
-                )
-
-            def entry():
-                result, retries = run_with_retry(
-                    attempt, retry, key=(f"zgrab{scan_index}", f"shard{shard_id}")
-                )
-                result[1].retries = retries
-                return result
-
-            return entry() if pool is None else pool.submit(entry)
-
-        def submit_process(pool, shard_id):
-            return pool.submit(
-                _zgrab_process_entry,
-                shard_id,
-                shard_indices[shard_id],
-                scan_index,
-                retry,
-                resilience,
-                checkpoint_dir,
-                observe,
+        def attempt(shard_id: int, progress) -> tuple:
+            return _zgrab_shard_work(
+                self.population, shard_id, shard_indices[shard_id], scan_index,
+                self.config.resilience, self.config.checkpoint_dir, self.obs.enabled,
+                progress,
             )
 
         partials, self.metrics = self._execute(
-            shard_indices, submit_local, submit_process, kind=f"zgrab{scan_index}"
+            shard_indices, attempt, kind=f"zgrab{scan_index}"
         )
         merged = ZgrabScanPartial()
         for shard_id in sorted(partials):
             merged.merge(partials[shard_id])
         return ZgrabCampaign(population=self.population).finalize_scan(merged, scan_index)
-
-    def both_scans(self) -> list[ZgrabScanResult]:
-        return [self.scan(0), self.scan(1)]
 
 
 @dataclass
@@ -682,7 +591,6 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
     metrics: Optional[CampaignMetrics] = None
     #: observability context; shard traces and registries merge into it
     obs: Obs = field(default=NULL_OBS, repr=False)
-    #: live heartbeat reporter (``--heartbeat``); ``None`` costs nothing
     progress: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -698,50 +606,15 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
 
     def run(self) -> ChromeCampaignResult:
         shard_indices = self._partition()
-        retry = self.config.retry
-        browser_config = self.browser_config
-        checkpoint_dir = self.config.checkpoint_dir
-        observe = self.obs.enabled
-        signature_db_path = self.signature_db_path
-        progress = self.progress if self.config.mode != "process" else None
 
-        def submit_local(pool, shard_id):
-            def attempt():
-                return _chrome_shard_work(
-                    self._shard_population(),
-                    shard_id,
-                    shard_indices[shard_id],
-                    browser_config,
-                    checkpoint_dir,
-                    observe,
-                    progress,
-                    signature_db_path,
-                )
-
-            def entry():
-                result, retries = run_with_retry(
-                    attempt, retry, key=("chrome", f"shard{shard_id}")
-                )
-                result[1].retries = retries
-                return result
-
-            return entry() if pool is None else pool.submit(entry)
-
-        def submit_process(pool, shard_id):
-            return pool.submit(
-                _chrome_process_entry,
-                shard_id,
-                shard_indices[shard_id],
-                browser_config,
-                retry,
-                checkpoint_dir,
-                observe,
-                signature_db_path,
+        def attempt(shard_id: int, progress) -> tuple:
+            return _chrome_shard_work(
+                self._shard_population(), shard_id, shard_indices[shard_id],
+                self.browser_config, self.config.checkpoint_dir, self.obs.enabled,
+                progress, self.signature_db_path,
             )
 
-        partials, self.metrics = self._execute(
-            shard_indices, submit_local, submit_process, kind="chrome"
-        )
+        partials, self.metrics = self._execute(shard_indices, attempt, kind="chrome")
         merged = ChromeRunPartial()
         for shard_id in sorted(partials):
             merged.merge(partials[shard_id])

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pathlib
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.crawl import ChromeCampaign, ChromeCampaignResult, ZgrabCampaign
+from repro.analysis.crawl import ChromeCampaignResult
 from repro.analysis.economics import EconomicsReport, user_count_bracket
 from repro.analysis.metrics import CampaignMetrics
 from repro.analysis.network import NetworkSimConfig, simulate_network
@@ -32,9 +31,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
-from repro.core.detector import PageDetector
 from repro.core.pool_association import attribution_evidence
-from repro.core.signatures import SignatureDatabase
 from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultPlan, build_fault_plan
 from repro.faults.resilience import ResiliencePolicy
@@ -57,10 +54,11 @@ class ReproductionConfig:
     """Scales for one full reproduction run.
 
     The defaults favour a quick run (a couple of minutes); the benchmark
-    suite is the full-calibration reference. ``crawl_workers > 1`` (or
-    ``crawl_shards > 1``) routes the crawl campaigns through the sharded
-    parallel executor with ``max(crawl_shards, crawl_workers)`` shards; the
-    merged results are identical to the sequential path, only faster.
+    suite is the full-calibration reference. Every crawl campaign runs on
+    the sharded executor with ``max(crawl_shards, crawl_workers)`` shards:
+    ``crawl_executor`` picks the pool when ``crawl_workers > 1``, and one
+    worker runs its shards serially. The merged results are identical for
+    every shard count, worker count and executor.
     ``repro-mining crawl`` runs one dataset under the same config.
     """
 
@@ -73,27 +71,27 @@ class ReproductionConfig:
     crawl_shards: int = 1
     crawl_workers: int = 1
     crawl_executor: str = "thread"
-    #: fault-injection profile for the crawls ("" = no chaos plane);
-    #: implies the sharded executor (which carries the fault ledger)
+    #: fault-injection profile for the crawls ("" = no chaos plane); the
+    #: shards' fault ledgers merge into the run's
     fault_profile: str = ""
-    #: checkpoint-journal directory for the crawls (also implies sharded)
+    #: checkpoint-journal directory for the crawls (one journal per shard)
     checkpoint_dir: Optional[str] = None
     #: write the campaign trace (span JSONL) here after the run
     trace_out: Optional[str] = None
     #: append a per-stage latency table to the report
     profile: bool = False
     #: persist run artifacts (manifest/metrics/trace/profile/ledger) here;
-    #: implies observability and the sharded executor
+    #: implies observability
     run_dir: Optional[str] = None
     #: emit live progress snapshots every N seconds (0 = off)
     heartbeat: float = 0.0
     #: record windowed per-tick telemetry every N seconds into the run
-    #: dir's ``timeseries.jsonl`` (0 = off; implies observability and the
-    #: sharded executor, whose progress hooks poll the recorder)
+    #: dir's ``timeseries.jsonl`` (0 = off; implies observability; the
+    #: executor's progress hooks poll the recorder)
     timeseries_interval: float = 0.0
     #: stream index-addressable populations of this size instead of
     #: materializing ``crawl_scale`` builds (zgrab plane only; Chrome and
-    #: its tables are skipped). Implies the sharded executor.
+    #: its tables are skipped)
     population_size: int = 0
     #: custom rank strata for streaming runs (``parse_strata`` syntax;
     #: "" = the dataset's calibrated default buckets)
@@ -222,11 +220,11 @@ class DatasetCrawl:
     """One dataset's campaign: the two zgrab scans, then the Chrome pass."""
 
     scans: list
+    #: shard metrics of the second zgrab scan
+    zgrab_metrics: CampaignMetrics
     #: None for zgrab-only datasets and streamed populations
     chrome: Optional[ChromeCampaignResult] = None
-    #: shard metrics of the second zgrab scan and of the Chrome pass
-    #: (sharded runs only)
-    zgrab_metrics: Optional[CampaignMetrics] = None
+    #: shard metrics of the Chrome pass, when one ran
     chrome_metrics: Optional[CampaignMetrics] = None
 
 
@@ -265,41 +263,23 @@ def crawl_dataset(
         population.attach_fault_plan(fault_plan)
     if announce is not None:
         announce(population)
-    # chaos and checkpointing ride on the sharded executor (it carries the
-    # per-shard fault ledgers and journals), even with a single serial
-    # shard; run dirs, heartbeats and streaming populations ride on it too:
-    # the persisted metrics carry the shard plane, and the reporter hooks
-    # the executor's site loop
-    sharded = (
-        streaming
-        or config.crawl_shards > 1
-        or config.crawl_workers > 1
-        or fault_plan is not None
-        or config.checkpoint_dir is not None
-        or config.run_dir is not None
-        or run.progress is not None
-    )
-    # at least one shard per worker: fewer shards would leave workers idle
+    # at least one shard per worker: fewer shards would leave workers idle;
+    # one worker runs its shards serially, where a pool buys nothing
     parallel_config = ParallelConfig(
         shards=max(config.crawl_shards, config.crawl_workers),
         workers=config.crawl_workers,
-        mode=config.crawl_executor,
+        mode=config.crawl_executor if config.crawl_workers > 1 else "serial",
         resilience=ResiliencePolicy() if fault_plan is not None else None,
         checkpoint_dir=config.checkpoint_dir,
     )
-    result = DatasetCrawl(scans=[])
-    if sharded:
-        zgrab = ShardedZgrabCampaign(
-            population=population, config=parallel_config, obs=obs, progress=run.progress
-        )
-        for scan_index in (0, 1):  # metrics hold the most recent scan only
-            result.scans.append(zgrab.scan(scan_index))
-            if zgrab.metrics is not None:
-                run.fault_ledger.merge(zgrab.metrics.fault_ledger)
-        result.zgrab_metrics = zgrab.metrics
-    else:
-        with obs.span("campaign", kind="zgrab", mode="sequential", dataset=dataset):
-            result.scans = ZgrabCampaign(population=population, obs=obs).both_scans()
+    zgrab = ShardedZgrabCampaign(
+        population=population, config=parallel_config, obs=obs, progress=run.progress
+    )
+    scans = []
+    for scan_index in (0, 1):  # metrics hold the most recent scan only
+        scans.append(zgrab.scan(scan_index))
+        run.fault_ledger.merge(zgrab.metrics.fault_ledger)
+    result = DatasetCrawl(scans=scans, zgrab_metrics=zgrab.metrics)
     for scan_index, scan in enumerate(result.scans):
         run.verdicts.extend(scan.verdicts)
         if scan.graph is not None:
@@ -315,35 +295,22 @@ def crawl_dataset(
             obs.inc(f"{prefix}.stratum.{row.stratum}.hits", row.hits)
     if streaming or not population.spec.chrome_crawl:
         return result
-    if sharded:
-        chrome = ShardedChromeCampaign(
-            population=population,
-            recipe=PopulationRecipe(
-                dataset,
-                seed=config.seed,
-                scale=config.crawl_scale,
-                fault_profile=config.fault_profile,
-            ),
-            config=parallel_config,
-            signature_db_path=signature_db,
-            obs=obs,
-            progress=run.progress,
-        )
-        result.chrome = chrome.run()
-        if chrome.metrics is not None:
-            run.fault_ledger.merge(chrome.metrics.fault_ledger)
-        result.chrome_metrics = chrome.metrics
-    else:
-        detector = None
-        if signature_db:
-            detector = PageDetector()
-            detector.classifier.database = SignatureDatabase.from_json(
-                pathlib.Path(signature_db).read_text()
-            )
-        with obs.span("campaign", kind="chrome", mode="sequential", dataset=dataset):
-            result.chrome = ChromeCampaign(
-                population=population, detector=detector, obs=obs
-            ).run()
+    chrome = ShardedChromeCampaign(
+        population=population,
+        recipe=PopulationRecipe(
+            dataset,
+            seed=config.seed,
+            scale=config.crawl_scale,
+            fault_profile=config.fault_profile,
+        ),
+        config=parallel_config,
+        signature_db_path=signature_db,
+        obs=obs,
+        progress=run.progress,
+    )
+    result.chrome = chrome.run()
+    run.fault_ledger.merge(chrome.metrics.fault_ledger)
+    result.chrome_metrics = chrome.metrics
     run.verdicts.extend(result.chrome.verdicts)
     if result.chrome.graph is not None:
         run.graph.merge(result.chrome.graph)

@@ -186,8 +186,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             rows = [stratum_cells(row) for row in scan.stratum_rows]
             title = f"\nper-stratum prevalence (scan {scan_index})"
             print(render_table(STRATUM_HEADER, rows, title=title))
-    if crawl.zgrab_metrics is not None:
-        _print_shard_metrics(crawl.zgrab_metrics, "\nzgrab shard metrics (second scan)")
+    _print_shard_metrics(crawl.zgrab_metrics, "\nzgrab shard metrics (second scan)")
     if crawl.chrome is not None:
         tab = crawl.chrome.cross_tab
         rows = [
@@ -199,8 +198,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         print(render_table(["metric", "value"], rows, title="\nChrome pass"))
         rows = list(crawl.chrome.signature_counts.most_common(5))
         print(render_table(["family", "sites"], rows, title="\ntop signatures"))
-        if crawl.chrome_metrics is not None:
-            _print_shard_metrics(crawl.chrome_metrics, "\nChrome shard metrics")
+        _print_shard_metrics(crawl.chrome_metrics, "\nChrome shard metrics")
     if chaos or args.resume_from is not None:
         _print_fault_ledger(run.fault_ledger)
     if args.profile:
@@ -1713,6 +1711,10 @@ def _bad_shared_value(args: argparse.Namespace) -> str | None:
     for name in _NON_NEGATIVE_FLAGS:
         if name in args and getattr(args, name) < 0:
             return f"--{name.replace('_', '-')} must be >= 0"
+    for name in ("strata", "sample_per_stratum"):
+        # only streamed populations have rank strata to sample
+        if getattr(args, name, None) and not args.population_size:
+            return f"--{name.replace('_', '-')} needs --population-size"
     if getattr(args, "strata", ""):
         from repro.internet.population import DATASETS
         from repro.internet.streaming import parse_strata

@@ -106,6 +106,12 @@ class TestCampaignCommands:
             ),
             (["reproduce", "--crawl-scale", "0"], "--crawl-scale"),
             (["shortlinks", "--scale", "-0.5"], "--scale"),
+            (
+                ["crawl", "--dataset", "net", "--scale", "0.03", "--sample-per-stratum", "5",
+                 "--strata", "a:10:0.1,b::0.01"],
+                "--strata",
+            ),
+            (["reproduce", "--sample-per-stratum", "5"], "--sample-per-stratum"),
         ],
     )
     def test_bad_campaign_value_is_one_error_line(self, argv, flag, capsys):

@@ -4,15 +4,24 @@ The same dataset crawled through ``main(["crawl", ...])`` and through
 ``run_reproduction`` yields the same summary counters (``crawl.zgrab{i}.*``
 against ``crawl.<dataset>.zgrab{i}.*``) and the same verdict records, and a
 crawl with more workers than shards runs one shard per worker without
-changing what it finds.
+changing what it finds. A crawl with no executor flags runs the same
+sharded executor, serially, and finds what the sequential reference
+campaigns find.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.runner import ReproductionConfig, run_reproduction
+from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.runner import (
+    ObservedRun,
+    ReproductionConfig,
+    crawl_dataset,
+    run_reproduction,
+)
 from repro.cli import main
+from repro.internet.population import build_population
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.ledger import load_run
 
@@ -95,3 +104,19 @@ def test_each_worker_gets_a_shard(tmp_path, capsys):
     assert (tmp_path / "thread" / "verdicts.jsonl").read_bytes() == (
         tmp_path / "serial" / "verdicts.jsonl"
     ).read_bytes()
+
+
+def test_default_crawl_runs_the_serial_executor():
+    config = ReproductionConfig(seed=SEED, crawl_scale=SCALE)
+    crawl = crawl_dataset("alexa", ObservedRun.start(config, prefix="crawl"), "crawl")
+
+    assert crawl.zgrab_metrics.mode == "serial"
+    assert crawl.chrome_metrics.mode == "serial"
+    zgrab_reference = ZgrabCampaign(
+        population=build_population("alexa", seed=SEED, scale=SCALE)
+    ).both_scans()
+    chrome_reference = ChromeCampaign(
+        population=build_population("alexa", seed=SEED, scale=SCALE)
+    ).run()
+    assert crawl.scans == zgrab_reference
+    assert crawl.chrome == chrome_reference

@@ -254,22 +254,6 @@ class TestRetry:
         )
         assert result.domains_probed == sequential_rest.domains_probed <= surviving
 
-    def test_poisoned_shard_fail_fast(self, monkeypatch):
-        import repro.analysis.parallel as parallel
-
-        population = build_population("net", seed=9, scale=0.2)
-
-        def poisoned(pop, shard_id, indices, scan_index, *rest):
-            raise RuntimeError("poisoned")
-
-        monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
-        config = ParallelConfig(
-            shards=2, workers=2, mode="thread", fail_fast=True,
-            retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
-        )
-        with pytest.raises(RuntimeError):
-            ShardedZgrabCampaign(population=population, config=config).scan(0)
-
     def test_retries_counted_in_metrics(self, monkeypatch):
         import repro.analysis.parallel as parallel
 
