@@ -379,8 +379,9 @@ def _network_pool(config: ReproductionConfig) -> Optional[ProcessPoolExecutor]:
 
     The study shares no input with the crawls, so a second CPU runs it for
     free. Inline when there is no second usable CPU or no ``fork``; and
-    when the crawls fork their own process pool, which would then fork
-    while this pool's manager thread runs.
+    when the crawls fork their own process pool (``process`` executor,
+    more than one worker: one worker runs its shards serially), which
+    would then fork while this pool's manager thread runs.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -389,7 +390,7 @@ def _network_pool(config: ReproductionConfig) -> Optional[ProcessPoolExecutor]:
     if (
         cpus < 2
         or "fork" not in multiprocessing.get_all_start_methods()
-        or config.crawl_executor == "process"
+        or (config.crawl_executor == "process" and config.crawl_workers > 1)
     ):
         return None
     return fork_pool(1)

@@ -78,10 +78,7 @@ class IncluderLayer:
 
     def rate_for(self, includer: IncluderSpec, site) -> float:
         if includer.kind == "campaign":
-            if (
-                site.family == includer.family
-                and getattr(site, "role", "") in _CAMPAIGN_ROLES
-            ):
+            if site.family == includer.family and site.role in _CAMPAIGN_ROLES:
                 return CAMPAIGN_RATE
             return 0.0
         return BENIGN_RATE
@@ -91,14 +88,15 @@ class IncluderLayer:
 
         Keyed by the site *domain* (not its index or draw order), so the
         same site gets the same includers no matter which code path built
-        it.
+        it. A draw is hashed only where the rate is non-zero: a campaign
+        includer's draw can never hit off its campaign.
         """
         chosen = []
         for includer in self.includers:
-            draw = hash_unit(
+            rate = self.rate_for(includer, site)
+            if rate and hash_unit(
                 self.seed, "includer", self.dataset, site.domain, includer.name
-            )
-            if draw < self.rate_for(includer, site):
+            ) < rate:
                 chosen.append(includer)
         return tuple(chosen)
 

@@ -39,6 +39,7 @@ from repro.coinhive.miner_script import CoinhiveMinerKit
 from repro.coinhive.service import CoinhiveService, make_token
 from repro.internet.deployments import BenignWasmKit, FamilyMinerKit
 from repro.internet.domains import DomainGenerator
+from repro.rulespace.categories import BY_NAME
 from repro.sim.rng import RngStream
 from repro.wasm.builder import FAMILY_PROFILES, WasmCorpusBuilder
 from repro.web.http import Resource, SyntheticWeb
@@ -524,9 +525,7 @@ class _CompositeInjector:
 
 
 def _render_html(site: SiteSpec, tags, rng: RngStream) -> str:
-    from repro.rulespace.categories import BY_NAME
-
-    head_scripts = "".join(tag.to_element().serialize() for tag in tags)
+    head_scripts = "".join(tag.html() for tag in tags)
     keywords = ""
     if site.category and site.category in BY_NAME:
         words = BY_NAME[site.category].content_keywords

@@ -547,12 +547,11 @@ class StreamingPopulation:
         registered (zgrab fetches only the landing page).
         """
         site = self.sites[index]
-        token = make_token(f"{self.spec.name}/{site.domain}")
         host = f"www.{site.domain}"
         scheme = "https" if site.https else "http"
         keys = []
 
-        role_tags, own_resources = _role_assets(site, token, host)
+        role_tags, own_resources = _role_assets(site, self.spec.name, host)
         static_tags = list(role_tags) if site.static_tags or not role_tags else []
         for url, resource in own_resources:
             web.register(url, resource)
@@ -659,7 +658,11 @@ class StreamingPopulation:
         return population
 
 
-def _role_assets(site: SiteSpec, token: str, host: str) -> tuple:
+#: roles whose assets embed the site token
+_TOKEN_ROLES = frozenset({"miner", "dead-miner", "listed-tag", "consent-declined"})
+
+
+def _role_assets(site: SiteSpec, dataset: str, host: str) -> tuple:
     """``(script tags, first-party resources)`` for one streamed site.
 
     URL and inline shapes mirror the deployment kits exactly, so the
@@ -668,6 +671,7 @@ def _role_assets(site: SiteSpec, token: str, host: str) -> tuple:
     """
     tags: list = []
     resources: list = []
+    token = make_token(f"{dataset}/{site.domain}") if site.role in _TOKEN_ROLES else ""
     if site.role == "miner":
         family = site.family or "coinhive"
         if site.official_url:

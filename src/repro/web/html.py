@@ -16,6 +16,7 @@ robustness, not spec completeness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -26,6 +27,47 @@ VOID_ELEMENTS = frozenset(
 RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 
 _ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&#39;": "'"}
+
+# The tokenizer's scans as compiled regexes. ``(?=(X))\N`` is an atomic
+# group on every supported Python: the lookahead matches ``X`` once, and a
+# failure after it never backtracks into it, so a tag with no ``>`` costs
+# one pass, not one pass per character. ``\s`` is exactly ``str.isspace``.
+
+#: the body of a tag up to its closing ``>``, quote-aware (the ``>`` of an
+#: unterminated quote never ends the tag); the pattern's first group
+_TAG_BODY = r"""(?=((?:[^"'>]+|"[^"]*"|'[^']*')*))\1>"""
+_TAG_END = re.compile(_TAG_BODY)
+_TAG_NAME = re.compile(r"\S*")
+#: one attribute: name (ends at ``=`` or ``\t\n\r `` only), then an
+#: optional ``=`` with a double-quoted, single-quoted or bare value; the
+#: last group that matched is the value's (group 1 alone: no value)
+_ATTRIBUTE = re.compile(
+    r"""\s*([^=\t\n\r ]*)\s*(?:=\s*(?:"([^"]*)"?|'([^']*)'?|(\S*)))?"""
+)
+#: every token :meth:`ScriptScanner.scan` passes over without reading it:
+#: text runs, comments (an unterminated one swallows the rest),
+#: declarations and end tags that have a ``>``, ``<`` runs before the end
+#: or a character that is surely not ``str.isalpha`` (``[\W\d_]``: not
+#: alphanumeric, a decimal digit or ``_``), and start tags that have a
+#: ``>`` and an ASCII-letter name that cannot be ``script``/``style``. A
+#: ``<`` before any other character (a non-ASCII letter, or a numeric
+#: such as ``²``, which ``[^\W\d_]`` would call a letter) is left to the
+#: per-token step, where ``str.isalpha`` decides it. Case is spelled out
+#: per letter because ``(?i)`` would also let ``ſ`` and the Kelvin sign
+#: match ASCII letters.
+_SKIP = re.compile(
+    r"""(?:
+        [^<]+
+      | <(?![Ss][Cc][Rr][Ii][Pp][Tt]|[Ss][Tt][Yy][Ll][Ee])[A-Za-z]"""
+    + _TAG_BODY
+    + r"""
+      | </[^>]*>
+      | <!--.*?(?:-->|\Z)
+      | <[!?][^>]*>
+      | <+(?![A-Za-z!?/])(?=[\W\d_]|\Z)[^<]*
+    )*""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def unescape(text: str) -> str:
@@ -60,19 +102,28 @@ class HtmlElement:
     def text(self) -> str:
         """Concatenated text content of the subtree."""
         parts: list[str] = []
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
+        stack = list(reversed(self.children))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
             else:
-                parts.append(child.text())
+                stack.extend(reversed(node.children))
         return "".join(parts)
 
     def iter(self) -> Iterator["HtmlElement"]:
-        """Depth-first iteration over this element and all descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, HtmlElement):
-                yield from child.iter()
+        """Depth-first iteration over this element and all descendants.
+
+        Walks an explicit stack: an unclosed tag nests everything after
+        it, so a page's depth is bounded only by its tag count.
+        """
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(
+                child for child in reversed(element.children) if isinstance(child, HtmlElement)
+            )
 
     def find_all(self, tag: str) -> list:
         tag = tag.lower()
@@ -138,6 +189,7 @@ class HtmlParser:
         self.text = text
         self.pos = 0
         self.length = len(text)
+        self._lower: Optional[str] = None
 
     def parse(self) -> HtmlDocument:
         root = HtmlElement("#document")
@@ -207,79 +259,43 @@ class HtmlParser:
         element = HtmlElement(tag, attrs)
         stack[-1].append(element)
         if tag in RAW_TEXT_ELEMENTS and not self_closing:
-            self._consume_raw_text(element, tag)
+            element.append(self._raw_text_span(tag))
         elif tag not in VOID_ELEMENTS and not self_closing:
             stack.append(element)
 
     def _find_tag_end(self, start: int) -> int:
         """Find the closing ``>`` of a tag, respecting quoted attributes."""
-        i = start + 1
-        quote: Optional[str] = None
-        while i < self.length:
-            char = self.text[i]
-            if quote is not None:
-                if char == quote:
-                    quote = None
-            elif char in "\"'":
-                quote = char
-            elif char == ">":
-                return i
-            i += 1
-        return -1
+        match = _TAG_END.match(self.text, start + 1)
+        return -1 if match is None else match.end() - 1
 
     def _parse_tag_contents(self, raw: str) -> tuple:
-        i = 0
-        n = len(raw)
-        while i < n and not raw[i].isspace():
-            i += 1
+        i = _TAG_NAME.match(raw).end()
         tag = raw[:i].lower()
         attrs: dict = {}
+        n = len(raw)
         while i < n:
-            while i < n and raw[i].isspace():
-                i += 1
-            if i >= n:
-                break
-            name_start = i
-            while i < n and raw[i] not in "=\t\n\r " :
-                i += 1
-            name = raw[name_start:i].lower()
+            match = _ATTRIBUTE.match(raw, i)
+            name = match[1]
             if not name:
                 break
-            while i < n and raw[i].isspace():
-                i += 1
-            if i < n and raw[i] == "=":
-                i += 1
-                while i < n and raw[i].isspace():
-                    i += 1
-                if i < n and raw[i] in "\"'":
-                    quote = raw[i]
-                    i += 1
-                    value_start = i
-                    while i < n and raw[i] != quote:
-                        i += 1
-                    attrs[name] = unescape(raw[value_start:i])
-                    i += 1
-                else:
-                    value_start = i
-                    while i < n and not raw[i].isspace():
-                        i += 1
-                    attrs[name] = unescape(raw[value_start:i])
-            else:
-                attrs[name] = None
+            last = match.lastindex
+            attrs[name.lower()] = unescape(match[last]) if last > 1 else None
+            i = match.end()
         return tag, attrs
 
-    def _consume_raw_text(self, element: HtmlElement, tag: str) -> None:
+    def _raw_text_span(self, tag: str) -> str:
         """Script/style bodies: raw text until the matching end tag."""
-        close = f"</{tag}"
-        lower = self.text.lower()
-        idx = lower.find(close, self.pos)
+        if self._lower is None:
+            self._lower = self.text.lower()
+        idx = self._lower.find(f"</{tag}", self.pos)
         if idx == -1:
-            element.append(self.text[self.pos :])
+            chunk = self.text[self.pos :]
             self.pos = self.length
-            return
-        element.append(self.text[self.pos : idx])
+            return chunk
+        chunk = self.text[self.pos : idx]
         end = self.text.find(">", idx)
         self.pos = self.length if end == -1 else end + 1
+        return chunk
 
 
 class ScriptScanner(HtmlParser):
@@ -292,33 +308,29 @@ class ScriptScanner(HtmlParser):
     never pop the synthetic root and every tokenized start tag lands in
     the tree, the parser emits exactly one script per ``<script>`` start
     tag in encounter order — which is what this scanner emits directly.
+    Every token it never reads (text, comments, declarations, end tags,
+    start tags that cannot be ``script``/``style``) is passed by one
+    ``_SKIP`` match; the per-token step runs only at what is left.
     ``scan_scripts(html) == extract_scripts(html)`` for all inputs (the
     differential suite fuzzes this).
     """
 
-    def __init__(self, text: str) -> None:
-        super().__init__(text)
-        self._lower: Optional[str] = None
-
     def scan(self) -> list:
         scripts: list = []
-        while self.pos < self.length:
-            if self.text.startswith("<!--", self.pos):
-                self._skip_comment()
-            elif self.text.startswith("<!", self.pos) or self.text.startswith("<?", self.pos):
+        text, length, skip = self.text, self.length, _SKIP.match
+        while True:
+            # one C-level match passes every token this loop would skip,
+            # comments included; what is left starts with "<"
+            self.pos = skip(text, self.pos).end()
+            if self.pos >= length:
+                return scripts
+            if text.startswith(("<!", "<?", "</"), self.pos):
                 self._skip_declaration()
-            elif self.text.startswith("</", self.pos):
-                self._skip_end_tag()
-            elif self.text.startswith("<", self.pos) and self._looks_like_tag():
+            elif self._looks_like_tag():
                 self._scan_start_tag(scripts)
             else:
-                next_tag = self.text.find("<", self.pos + 1)
-                self.pos = self.length if next_tag == -1 else next_tag
-        return scripts
-
-    def _skip_end_tag(self) -> None:
-        end = self.text.find(">", self.pos)
-        self.pos = self.length if end == -1 else end + 1
+                next_tag = text.find("<", self.pos + 1)
+                self.pos = length if next_tag == -1 else next_tag
 
     def _scan_start_tag(self, scripts: list) -> None:
         end = self._find_tag_end(self.pos)
@@ -335,25 +347,11 @@ class ScriptScanner(HtmlParser):
         if not tag:
             return
         if tag in RAW_TEXT_ELEMENTS and not self_closing:
-            inline = self._consume_raw_text_span(tag)
+            inline = self._raw_text_span(tag)
             if tag == "script":
                 scripts.append((attrs.get("src"), inline))
         elif tag == "script":
             scripts.append((attrs.get("src"), ""))
-
-    def _consume_raw_text_span(self, tag: str) -> str:
-        close = f"</{tag}"
-        if self._lower is None:
-            self._lower = self.text.lower()
-        idx = self._lower.find(close, self.pos)
-        if idx == -1:
-            chunk = self.text[self.pos :]
-            self.pos = self.length
-            return chunk
-        chunk = self.text[self.pos : idx]
-        end = self.text.find(">", idx)
-        self.pos = self.length if end == -1 else end + 1
-        return chunk
 
 
 def parse_html(text: str) -> HtmlDocument:

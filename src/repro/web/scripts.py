@@ -32,7 +32,7 @@ from repro.pool.protocol import (
     decode_message,
     encode_message,
 )
-from repro.web.html import HtmlElement
+from repro.web.html import HtmlElement, escape
 
 
 class ScriptBehavior:
@@ -69,6 +69,11 @@ class ScriptTag:
     inline: str = ""
     behavior: Optional[ScriptBehavior] = None
     dynamic: bool = False
+
+    def html(self) -> str:
+        """``to_element().serialize()`` without building the element."""
+        src = "" if self.src is None else f' src="{escape(self.src)}"'
+        return f"<script{src}>{self.inline}</script>"
 
     def to_element(self) -> HtmlElement:
         attrs: dict = {}

@@ -13,8 +13,9 @@ against an independent answer:
 - :class:`UncachedWasm` — the :class:`~repro.core.fastpath.WasmCache`
   interface recomputed from scratch on every call;
 - :func:`reference_paths` — swaps all of them (plus the DOM-building
-  :func:`~repro.web.html.extract_scripts`) into the running cascade for the
-  duration of a ``with`` block.
+  :func:`~repro.web.html.extract_scripts`, and the character-loop tag
+  scans of :mod:`tests.oracles.web` under every DOM parse) into the
+  running cascade for the duration of a ``with`` block.
 
 Production also decides each cascade layer once and renders evidence from
 that decision (:class:`~repro.core.detector.PageDetector`'s walk). The
@@ -43,9 +44,13 @@ bodies into handlers lives in :mod:`tests.oracles.wasm_interp`, checked by
 expression decoder the table-driven one replaced lives in
 :mod:`tests.oracles.wasm_decoder`, checked by
 ``tests/test_wasm_decoder_differential.py``. The web registry's linear
-host scan is :mod:`tests.oracles.web`, the per-byte ``randbytes`` is
-:mod:`tests.oracles.rng`, and the byte-at-a-time varint and transaction
-encoder is :mod:`tests.oracles.blockchain`, checked by
+host scan and the character-loop tag scans the HTML parser ran before its
+regexes are :mod:`tests.oracles.web`, checked by
+``tests/test_web_host_index.py`` and ``tests/test_web_html.py``; the
+per-byte ``randbytes`` and the name-by-name ``derive_seed`` are
+:mod:`tests.oracles.rng`, checked by ``tests/test_sim_rng.py``; and the
+byte-at-a-time varint and transaction encoder is
+:mod:`tests.oracles.blockchain`, checked by
 ``tests/test_blockchain_block.py``.
 """
 
@@ -72,7 +77,8 @@ from repro.core.signatures import wasm_signature
 from repro.obs.evidence import Evidence
 from repro.wasm.decoder import WasmDecodeError, decode_module, function_body_bytes
 from repro.wasm.interp import WasmTrap
-from repro.web.html import extract_scripts
+from repro.web.html import HtmlParser
+from tests.oracles.web import ReferenceParser, extract_scripts
 
 # ---------------------------------------------------------------------------
 # NoCoin filter list: rule-by-rule loops
@@ -176,7 +182,10 @@ def reference_paths():
     """Run the cascade on the reference implementations inside the block.
 
     Patches three :class:`~repro.core.nocoin.FilterList` matchers, the
-    detector's script scanner (``scan_scripts`` → ``extract_scripts``) and
+    detector's script scanner (``scan_scripts`` → ``extract_scripts``),
+    the tag scans of :class:`~repro.web.html.HtmlParser` (→ the character
+    loops, so every DOM parse the browser and ``extract_scripts`` make
+    shares no tag code with the scanner) and
     ``repro.core.fastpath.shared_cache`` (→ :class:`UncachedWasm`), and
     restores all of them on exit. Process-wide, like the state it
     replaces: run nothing concurrently with it.
@@ -185,6 +194,10 @@ def reference_paths():
         for name, oracle in _FILTER_LIST_ORACLES.items():
             stack.enter_context(
                 mock.patch(f"repro.core.nocoin.FilterList.{name}", oracle)
+            )
+        for name in ("_find_tag_end", "_parse_tag_contents"):
+            stack.enter_context(
+                mock.patch.object(HtmlParser, name, getattr(ReferenceParser, name))
             )
         stack.enter_context(
             mock.patch("repro.core.detector.scan_scripts", extract_scripts)

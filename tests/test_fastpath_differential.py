@@ -12,7 +12,9 @@ relative to the straightforward implementations kept in
    identical :class:`~repro.core.nocoin.FilterMatch` tuples — same rule
    identity, same ``where``, same matched span.
 2. Generated/adversarial HTML: :func:`~repro.web.html.scan_scripts` must
-   equal :func:`~repro.web.html.extract_scripts` exactly.
+   equal :func:`~repro.web.html.extract_scripts` exactly, both on the
+   production tag scans and on the character loops of
+   :mod:`tests.oracles.web` (:func:`tests.oracles.web.extract_scripts`).
 3. Same-seed campaigns run in production and under
    :func:`~tests.oracles.reference_paths` must produce byte-identical
    ``verdicts.jsonl`` payloads and identical metric registries (counters
@@ -40,6 +42,7 @@ from repro.obs.evidence import verdicts_to_jsonl
 from repro.obs.profile import make_obs
 from repro.web.html import extract_scripts, scan_scripts
 from tests.oracles import reference_paths
+from tests.oracles import web as web_oracle
 
 # ---------------------------------------------------------------------------
 # rule / subject strategies — deliberately tiny alphabets so patterns and
@@ -261,7 +264,7 @@ class TestScannerDifferential:
         ).map("".join)
     )
     def test_scan_equals_extract(self, html):
-        assert scan_scripts(html) == extract_scripts(html)
+        assert scan_scripts(html) == extract_scripts(html) == web_oracle.extract_scripts(html)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -107,7 +107,16 @@ class TestWhichPath:
 
     def test_process_mode_crawls_run_it_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert runner._network_pool(small_config(crawl_executor="process")) is None
+        config = small_config(crawl_executor="process", crawl_workers=2)
+        assert runner._network_pool(config) is None
+
+    def test_one_process_worker_crawls_serially_and_gets_a_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pool = runner._network_pool(small_config(crawl_executor="process", crawl_workers=1))
+        try:
+            assert pool is not None
+        finally:
+            pool.shutdown()
 
 
 class TestNoLeftovers:

@@ -26,6 +26,19 @@ class TestDeriveSeed:
         seed = derive_seed(root, name)
         assert 0 <= seed < 2**64
 
+    @example(root=2018, names=())
+    @example(root=0, names=("", ""))
+    @example(root=2018, names=("includer", "com", "näive-12.com", "metrics"))
+    @given(
+        root=st.integers(min_value=-(2**70), max_value=2**70),
+        names=st.lists(
+            st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+            max_size=6,
+        ).map(tuple),
+    )
+    def test_matches_the_name_by_name_oracle(self, root, names):
+        assert derive_seed(root, *names) == rng_oracle.derive_seed(root, *names)
+
 
 class TestRngStream:
     def test_same_stream_same_sequence(self):

@@ -1,8 +1,13 @@
 """Tests for the HTML parser/serializer."""
 
-from hypothesis import given, settings, strategies as st
+import time
 
-from repro.web.html import HtmlElement, extract_scripts, parse_html
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.web.html import HtmlElement, HtmlParser, extract_scripts, parse_html, scan_scripts
+from repro.web.scripts import ScriptTag
+from tests.oracles import web as oracle
 
 
 class TestBasicParsing:
@@ -129,3 +134,100 @@ class TestSerialization:
     def test_text_escaped_outside_raw_elements(self):
         doc = parse_html("<p>a &lt; b</p>")
         assert "&lt;" in doc.serialize()
+
+
+# Characters that steer the tag scans: quotes, ``=``, ``>``, ``/``, the
+# whitespace the attribute-name loop stops at and the whitespace it does
+# not (``\x0b``, ``\x0c``, ``\x1c``, ``\xa0``, ``\u2028``), letters whose
+# ``lower()`` differs in length or script, and a few plain letters.
+_TAG_ALPHABET = "ab=\"'>/< \t\n\r\x0b\x0c\x1c\xa0\u2028İſK&;S"
+_tag_text = st.one_of(
+    st.text(alphabet=_TAG_ALPHABET, max_size=40),
+    st.text(max_size=40),
+)
+
+
+_HTML_FRAGMENTS = st.sampled_from(
+    ("<script", "<script>", "<style", "<style>", "<a", "</script>", "</style>", ">",
+     "<!--", "-->", "<!x", "<?", "<²", "<é", "<SCRIPT", "<ſcript", "<script/", "<br/>", "src=")
+)
+
+
+class TestTagScansMatchTheCharacterLoops:
+    """The regex tag scans against the loops in :mod:`tests.oracles.web`."""
+
+    @example(text="<a href='x>y' b=\"c\">", start=0)
+    @example(text="<a '\"", start=0)
+    @example(text="", start=0)
+    @given(text=_tag_text, start=st.integers(min_value=0, max_value=45))
+    @settings(max_examples=300, deadline=None)
+    def test_find_tag_end(self, text, start):
+        start = min(start, len(text))
+        assert HtmlParser(text)._find_tag_end(start) == oracle.find_tag_end(text, start)
+
+    @example(raw="a b\x0bc=d e = 'f' g=\"h")
+    @example(raw="script src=x.js/")
+    @example(raw="a =b")
+    @example(raw="a b==c")
+    @example(raw="")
+    @given(raw=_tag_text)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_tag_contents(self, raw):
+        assert HtmlParser("")._parse_tag_contents(raw) == oracle.parse_tag_contents(raw)
+
+    @example(html="<style><script src=a></script>")
+    @example(html="<STYLE x='>'><script>x</script></style><script/>")
+    @example(html="<scripts><script src=b><stylex><script>")
+    @example(html="<²<script src=c><é<script src=d>")
+    @given(
+        html=st.lists(
+            st.one_of(
+                _HTML_FRAGMENTS,
+                st.text(alphabet=_TAG_ALPHABET, max_size=6),
+                st.text(max_size=3),
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extract_and_scan_scripts(self, html):
+        expected = oracle.extract_scripts(html)
+        assert extract_scripts(html) == expected
+        assert scan_scripts(html) == expected
+
+
+class TestScriptTagHtml:
+    @given(
+        src=st.one_of(st.none(), st.text(max_size=20)),
+        inline=st.text(max_size=20),
+    )
+    def test_equals_the_serialized_element(self, src, inline):
+        tag = ScriptTag(src=src, inline=inline)
+        assert tag.html() == tag.to_element().serialize()
+
+
+#: 256 kB pages (zgrab's truncation size) of one repeated shape each: no
+#: closing ``>``, unterminated quotes, comments and declarations, and a
+#: ``<`` per character, where a scanner that steps per token in Python or
+#: backtracks per character takes half a second or more.
+_HOSTILE_SHAPES = ('<a "', "<a ", "<!--", "<!x", "<", "<script", '<a "x">', "<a '\"")
+_PAGE = 262_144
+_BUDGET_S = 0.25
+
+
+def _hostile_pages():
+    for shape in _HOSTILE_SHAPES:
+        yield pytest.param(shape * (_PAGE // len(shape)), id=repr(shape))
+    yield pytest.param("<a " + "=" * (_PAGE - 3), id="'<a ' + '='*n")
+
+
+class TestHostilePages:
+    @pytest.mark.parametrize("html", _hostile_pages())
+    def test_scan_is_linear_and_matches_the_parser(self, html):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            scripts = scan_scripts(html)
+            best = min(best, time.perf_counter() - start)
+        assert scripts == extract_scripts(html)
+        assert best < _BUDGET_S, f"scan took {best * 1e3:.0f} ms on {len(html)} chars"
