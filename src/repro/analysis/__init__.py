@@ -10,7 +10,7 @@ One module per experiment group:
   observation (Figure 5, Table 6).
 - :mod:`repro.analysis.economics` — revenue arithmetic.
 - :mod:`repro.analysis.parallel` — the sharded parallel campaign executor
-  (deterministic domain→shard hashing, thread/process pools, retries).
+  (deterministic domain→shard hashing, serial or forked shards, retries).
 - :mod:`repro.analysis.metrics` — per-shard execution metrics.
 - :mod:`repro.analysis.reporting` — plain-text table and chart rendering
   so every benchmark prints the same rows/series as the paper.
@@ -20,7 +20,6 @@ from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.metrics import CampaignMetrics, ShardMetrics
 from repro.analysis.parallel import (
     ParallelConfig,
-    PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "CampaignMetrics",
     "ChromeCampaign",
     "ParallelConfig",
-    "PopulationRecipe",
     "ShardMetrics",
     "ShardedChromeCampaign",
     "ShardedZgrabCampaign",

@@ -111,7 +111,7 @@ class CampaignMetrics:
         Because counter addition is associative and commutative with the
         empty registry as identity, the result is independent of shard
         order, worker count, and execution mode — the property the
-        determinism suite pins (serial == thread == process == resumed
+        determinism suite pins (serial == process == resumed
         for the ``fault.*`` and ``shard.*`` planes).
         """
         merged = MetricsRegistry()

@@ -16,11 +16,11 @@ the sequential path**:
 - partials merge in shard-id order and every tally is a plain sum, so the
   finalized result does not depend on worker count or completion order.
 
-Execution modes:
+Execution modes (:func:`executor_mode` picks one from the worker count;
+the work is pure-Python and CPU-bound, so threads would only share a GIL):
 
-- ``serial``  — run shards in the calling thread; the mode of every
-  one-worker crawl, where a pool would only add overhead,
-- ``thread``  — ``ThreadPoolExecutor``; zero-copy sharing of the population,
+- ``serial``  — run shards in the calling process: one worker, or no
+  ``fork`` on this platform,
 - ``process`` — ``ProcessPoolExecutor`` with the ``fork`` start method; the
   population is inherited copy-on-write, giving each worker an isolated
   view with no pickling of the web registry.
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,22 +53,23 @@ from repro.analysis.metrics import CampaignMetrics, ShardMetrics
 from repro.core.detector import PageDetector
 from repro.core.signatures import build_reference_database
 from repro.faults.checkpoint import shard_journal
-from repro.faults.plan import build_fault_plan
 from repro.faults.resilience import ResiliencePolicy, RetryPolicy, run_with_retry
-from repro.internet.population import SiteSpec, WebPopulation, build_population
+from repro.internet.population import SiteSpec, WebPopulation
 from repro.obs.clock import get_clock
 from repro.obs.profile import NULL_OBS, Obs, make_obs
 from repro.rulespace.engine import RuleSpaceEngine
 from repro.web.browser import BrowserConfig
 
-EXECUTOR_MODES = ("serial", "thread", "process")
+EXECUTOR_MODES = ("serial", "process")
 
 __all__ = [
     "EXECUTOR_MODES",
+    "ForkedCall",
     "ParallelConfig",
-    "PopulationRecipe",
     "ShardedChromeCampaign",
     "ShardedZgrabCampaign",
+    "can_fork",
+    "executor_mode",
     "partition_indices",
     "stable_shard",
 ]
@@ -110,7 +110,7 @@ class ParallelConfig:
 
     shards: int = 4
     workers: int = 4
-    mode: str = "thread"  # serial | thread | process
+    mode: str = "serial"  # serial | process
     #: per-shard retries; a shard that exhausts them is dropped and
     #: recorded in the metrics
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -130,31 +130,6 @@ class ParallelConfig:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class PopulationRecipe:
-    """Enough to rebuild a population deterministically in any worker.
-
-    Builds are pure functions of ``(dataset, seed, scale, fault_profile)``,
-    so a worker reconstructing its own copy sees byte-identical sites —
-    this is how thread-mode Chrome workers get mutation-isolated Coinhive
-    services without pickling anything. ``fault_profile`` rides along so a
-    rebuilt population reattaches the same seeded fault plan.
-    """
-
-    dataset: str
-    seed: int = 2018
-    scale: float = 1.0
-    fault_profile: str = ""
-
-    def build(self) -> WebPopulation:
-        population = build_population(self.dataset, seed=self.seed, scale=self.scale)
-        if self.fault_profile:
-            population.attach_fault_plan(
-                build_fault_plan(self.fault_profile, seed=self.seed)
-            )
-        return population
-
-
 # ---------------------------------------------------------------------------
 # worker-side state
 
@@ -163,14 +138,14 @@ class PopulationRecipe:
 #: their copy-on-write view of it, population included. Process mode only.
 _FORK_STATE: dict = {}
 
-#: Per-thread (and, transitively, per-process) caches for the expensive
-#: worker artifacts: the reference signature database and recipe-built
-#: population copies.
-_WORKER_CACHE = threading.local()
+#: Per-process cache of the Chrome plane's detector (its signature
+#: database is the expensive part). The parent fills it before a campaign
+#: starts, so forked workers inherit it copy-on-write.
+_WORKER_CACHE: dict = {}
 
 
 def _worker_chrome_detector(signature_db_path: Optional[str] = None) -> PageDetector:
-    cached = getattr(_WORKER_CACHE, "chrome_detector", None)
+    cached = _WORKER_CACHE.get("chrome_detector")
     if cached is None or cached[0] != signature_db_path:
         detector = PageDetector()
         if signature_db_path:
@@ -178,7 +153,7 @@ def _worker_chrome_detector(signature_db_path: Optional[str] = None) -> PageDete
         else:
             detector.classifier.database = build_reference_database()
         cached = (signature_db_path, detector)
-        _WORKER_CACHE.chrome_detector = cached
+        _WORKER_CACHE["chrome_detector"] = cached
     # the campaign re-enables this per run when its Obs context is on; a
     # cached detector must not leak the flag into an unobserved run
     cached[1].collect_evidence = False
@@ -191,15 +166,6 @@ def _load_signature_db(path: str):
     from repro.core.signatures import SignatureDatabase
 
     return SignatureDatabase.from_json(pathlib.Path(path).read_text())
-
-
-def _worker_population(recipe: PopulationRecipe) -> WebPopulation:
-    key = (recipe.dataset, recipe.seed, recipe.scale, recipe.fault_profile)
-    cached = getattr(_WORKER_CACHE, "population", None)
-    if cached is None or cached[0] != key:
-        cached = (key, recipe.build())
-        _WORKER_CACHE.population = cached
-    return cached[1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +342,74 @@ def _process_entry(shard_id: int) -> tuple[object, ShardMetrics]:
 # executor core
 
 
+def can_fork() -> bool:
+    """Whether this platform has the ``fork`` start method, which process
+    mode and :class:`ForkedCall` both need."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def executor_mode(workers: int) -> str:
+    """The mode a crawl with ``workers`` workers runs: ``process`` above
+    one worker where ``fork`` exists, else ``serial``."""
+    return "process" if workers > 1 and can_fork() else "serial"
+
+
 def fork_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool whose workers are forked, inheriting the caller's
     memory copy-on-write; raises where ``fork`` is unavailable."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not can_fork():
         raise RuntimeError(
             "process mode needs the 'fork' start method (copy-on-write "
-            "population sharing); use mode='thread' on this platform"
+            "population sharing); run mode='serial' on this platform"
         )
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork")
     )
+
+
+def _answer(sender, fn: Callable, args: tuple) -> None:
+    try:
+        sender.send((True, fn(*args)))
+    except BaseException as exc:  # ForkedCall.result re-raises it
+        sender.send((False, exc))
+
+
+class ForkedCall:
+    """``fn(*args)`` running in one forked child; :meth:`result` returns
+    what it returned or re-raises what it raised.
+
+    A bare fork ``Process`` answering over a one-way ``Pipe`` leaves no
+    pool manager or queue-feeder thread in the parent, so later forks (a
+    crawl's process pool) still fork a one-thread parent. The parent
+    holds only the read end: a child that dies before answering reads as
+    end-of-file and raises instead of hanging. :meth:`close` stops and
+    reaps the child.
+    """
+
+    def __init__(self, fn: Callable, *args) -> None:
+        context = multiprocessing.get_context("fork")
+        self._receiver, sender = context.Pipe(duplex=False)
+        self._process = context.Process(target=_answer, args=(sender, fn, args), daemon=True)
+        self._process.start()
+        sender.close()
+
+    def result(self):
+        try:
+            ok, value = self._receiver.recv()
+        except EOFError:
+            self._process.join()
+            raise RuntimeError(
+                f"forked worker died with exit code {self._process.exitcode}"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self._process.is_alive():
+            self._process.terminate()
+        self._process.join()
+        self._receiver.close()
 
 
 def _collect_shards(
@@ -466,10 +489,10 @@ class _ShardedCampaignBase:
 
         ``attempt(shard_id, progress)`` runs one shard and returns its
         ``(partial, ShardMetrics)``; each shard's attempts retry under
-        ``config.retry`` with the key ``(kind, "shard<id>")``. Serial and
-        thread mode hand ``attempt`` the heartbeat reporter for per-site
-        advances; process mode hands it ``None`` and advances per shard
-        in the parent. All wall clocks come from the injectable obs clock,
+        ``config.retry`` with the key ``(kind, "shard<id>")``. Serial mode
+        hands ``attempt`` the heartbeat reporter for per-site advances;
+        process mode hands it ``None`` and advances per shard in the
+        parent. All wall clocks come from the injectable obs clock,
         so a ``TickClock`` makes the derived rates (``domains_per_sec``,
         ``parallel_efficiency``) reproducible.
         """
@@ -498,11 +521,6 @@ class _ShardedCampaignBase:
         ) as campaign_span:
             if config.mode == "serial":
                 partials, shard_metrics = _collect_shards(run_shard, sizes, None, config.retry)
-            elif config.mode == "thread":
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    partials, shard_metrics = _collect_shards(
-                        run_shard, sizes, pool, config.retry
-                    )
             else:  # process: forked workers inherit run_shard copy-on-write
                 _FORK_STATE["run_shard"] = run_shard
                 try:
@@ -573,43 +591,32 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
     """Shard-parallel drop-in for :class:`ChromeCampaign`.
 
     Each shard drives its own fresh browser, so per-page RNG (keyed by URL)
-    and page-load timing replay exactly as in the sequential run. In thread
-    mode, pass a ``recipe`` to give every worker thread its own rebuilt
-    population — Coinhive pool state is mutated during visits, and the
-    rebuild isolates those writes without changing any detection outcome.
-    In process mode the fork gives workers copy-on-write isolation for free.
+    and page-load timing replay exactly as in the sequential run. Coinhive
+    pool state is mutated during visits; in process mode the fork gives
+    every worker a copy-on-write population, so those writes stay isolated.
     """
 
-    population: Optional[WebPopulation] = None
-    recipe: Optional[PopulationRecipe] = None
+    population: WebPopulation
     config: ParallelConfig = field(default_factory=ParallelConfig)
     browser_config: BrowserConfig = field(default_factory=BrowserConfig)
-    #: path to a ``SignatureDatabase.to_json`` file; workers load it instead
-    #: of building the reference catalogue (the path, not the db, crosses
-    #: thread/process boundaries)
+    #: path to a ``SignatureDatabase.to_json`` file, loaded instead of
+    #: building the reference catalogue
     signature_db_path: Optional[str] = None
     metrics: Optional[CampaignMetrics] = None
     #: observability context; shard traces and registries merge into it
     obs: Obs = field(default=NULL_OBS, repr=False)
     progress: Optional[object] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.population is None:
-            if self.recipe is None:
-                raise ValueError("need a population or a recipe")
-            self.population = self.recipe.build()
-
-    def _shard_population(self) -> WebPopulation:
-        if self.config.mode == "thread" and self.recipe is not None:
-            return _worker_population(self.recipe)
-        return self.population
-
     def run(self) -> ChromeCampaignResult:
         shard_indices = self._partition()
+        # built once here, before the campaign clock starts, so the shards
+        # (forked workers too, copy-on-write) time only their sites
+        with self.obs.span("setup", kind="chrome", dataset=self.population.spec.name):
+            _worker_chrome_detector(self.signature_db_path)
 
         def attempt(shard_id: int, progress) -> tuple:
             return _chrome_shard_work(
-                self._shard_population(), shard_id, shard_indices[shard_id],
+                self.population, shard_id, shard_indices[shard_id],
                 self.browser_config, self.config.checkpoint_dir, self.obs.enabled,
                 progress, self.signature_db_path,
             )

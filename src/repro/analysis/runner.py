@@ -12,9 +12,7 @@ crawl driver that ``repro-mining crawl`` shares with it.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,11 +21,12 @@ from repro.analysis.economics import EconomicsReport, user_count_bracket
 from repro.analysis.metrics import CampaignMetrics
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.parallel import (
+    ForkedCall,
     ParallelConfig,
-    PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
-    fork_pool,
+    can_fork,
+    executor_mode,
 )
 from repro.analysis.reporting import render_day_hour_heatmap, render_table
 from repro.analysis.shortlink import ShortLinkStudy
@@ -56,9 +55,9 @@ class ReproductionConfig:
     The defaults favour a quick run (a couple of minutes); the benchmark
     suite is the full-calibration reference. Every crawl campaign runs on
     the sharded executor with ``max(crawl_shards, crawl_workers)`` shards:
-    ``crawl_executor`` picks the pool when ``crawl_workers > 1``, and one
-    worker runs its shards serially. The merged results are identical for
-    every shard count, worker count and executor.
+    more than one worker forks a process pool where ``fork`` exists, and
+    otherwise the shards run serially (:func:`~repro.analysis.parallel.executor_mode`).
+    The merged results are identical for every shard and worker count.
     ``repro-mining crawl`` runs one dataset under the same config.
     """
 
@@ -70,7 +69,6 @@ class ReproductionConfig:
     datasets: tuple[str, ...] = ("alexa", "com", "net", "org")
     crawl_shards: int = 1
     crawl_workers: int = 1
-    crawl_executor: str = "thread"
     #: fault-injection profile for the crawls ("" = no chaos plane); the
     #: shards' fault ledgers merge into the run's
     fault_profile: str = ""
@@ -109,7 +107,6 @@ class ReproductionConfig:
             "seed": self.seed,
             "shards": self.crawl_shards,
             "workers": self.crawl_workers,
-            "executor": self.crawl_executor,
             "fault_profile": self.fault_profile,
             "heartbeat": self.heartbeat,
             "timeseries_interval": self.timeseries_interval,
@@ -263,12 +260,11 @@ def crawl_dataset(
         population.attach_fault_plan(fault_plan)
     if announce is not None:
         announce(population)
-    # at least one shard per worker: fewer shards would leave workers idle;
-    # one worker runs its shards serially, where a pool buys nothing
+    # at least one shard per worker: fewer shards would leave workers idle
     parallel_config = ParallelConfig(
         shards=max(config.crawl_shards, config.crawl_workers),
         workers=config.crawl_workers,
-        mode=config.crawl_executor if config.crawl_workers > 1 else "serial",
+        mode=executor_mode(config.crawl_workers),
         resilience=ResiliencePolicy() if fault_plan is not None else None,
         checkpoint_dir=config.checkpoint_dir,
     )
@@ -297,12 +293,6 @@ def crawl_dataset(
         return result
     chrome = ShardedChromeCampaign(
         population=population,
-        recipe=PopulationRecipe(
-            dataset,
-            seed=config.seed,
-            scale=config.crawl_scale,
-            fault_profile=config.fault_profile,
-        ),
         config=parallel_config,
         signature_db_path=signature_db,
         obs=obs,
@@ -373,27 +363,22 @@ def _network_study_in_worker(config: ReproductionConfig) -> NetworkStudy:
     return network_study(config)
 
 
-def _network_pool(config: ReproductionConfig) -> Optional[ProcessPoolExecutor]:
-    """A one-worker fork pool to run :func:`network_study` beside the
-    crawls, or ``None`` to run it inline.
+def _network_worker(config: ReproductionConfig) -> Optional[ForkedCall]:
+    """:func:`network_study` started in a forked worker beside the crawls,
+    or ``None`` to run it inline.
 
     The study shares no input with the crawls, so a second CPU runs it for
-    free. Inline when there is no second usable CPU or no ``fork``; and
-    when the crawls fork their own process pool (``process`` executor,
-    more than one worker: one worker runs its shards serially), which
-    would then fork while this pool's manager thread runs.
+    free; inline when there is no second usable CPU or no ``fork``. The
+    worker leaves the parent single-threaded, so crawls with more than one
+    worker fork their pools safely after it.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    if (
-        cpus < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or (config.crawl_executor == "process" and config.crawl_workers > 1)
-    ):
+    if cpus < 2 or not can_fork():
         return None
-    return fork_pool(1)
+    return ForkedCall(_network_study_in_worker, config)
 
 
 def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> ReproductionReport:
@@ -401,22 +386,23 @@ def run_reproduction(config: Optional[ReproductionConfig] = None, log=print) -> 
 
     With a second usable CPU the network study (Figure 5 + Table 6) runs
     in a forked worker while this process runs the crawls and the
-    short-link study; see :func:`_network_pool`. The worker is gone when
+    short-link study; see :func:`_network_worker`. The worker is gone when
     this returns or raises.
     """
     config = config if config is not None else ReproductionConfig()
-    # fork first: before ObservedRun.start, the heartbeat and the recorder,
-    # so the worker inherits no thread
-    pool = _network_pool(config)
+    # fork first: before ObservedRun.start, the heartbeat, the recorder and
+    # the crawls' pools, so the worker inherits no thread and no child
+    network = _network_worker(config)
     try:
-        network = pool.submit(_network_study_in_worker, config) if pool is not None else None
         return _reproduce(config, log, network)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if network is not None:
+            network.close()
 
 
-def _reproduce(config: ReproductionConfig, log, network: Optional[Future]) -> ReproductionReport:
+def _reproduce(
+    config: ReproductionConfig, log, network: Optional[ForkedCall]
+) -> ReproductionReport:
     """:func:`run_reproduction`'s experiments; ``network`` is the pending
     network study, or ``None`` to run it inline."""
     report = ReproductionReport(config=config)

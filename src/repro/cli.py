@@ -121,7 +121,6 @@ def _campaign_config(args: argparse.Namespace, **fields):
         sample_per_stratum=args.sample_per_stratum,
         crawl_shards=args.shards,
         crawl_workers=args.workers,
-        crawl_executor=args.executor,
         fault_profile=args.fault_profile,
         checkpoint_dir=args.resume_from,
         trace_out=args.trace_out,
@@ -1244,12 +1243,12 @@ def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
         "full population (0 = full scan); prevalence tables extrapolate",
     )
     p.add_argument("--shards", type=_positive_int, default=1, help="split each population into N shards")
-    p.add_argument("--workers", type=_positive_int, default=1, help="worker pool size (at least one shard each)")
     p.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard execution mode (process = fork-based pool, Linux)",
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="forked worker processes, at least one shard each "
+        "(one worker, or no fork on this platform, runs the shards serially)",
     )
     p.add_argument(
         "--resume-from",

@@ -14,7 +14,7 @@ implementations production runs:
 - :class:`WasmCache` — a bounded content-hash LRU memoizing module
   decodes, function-body extraction, the three signature digests, the
   static features and the dynamic execution profile, one instance per
-  process (shared by thread-mode shards).
+  process (each forked shard worker has its own copy).
 
 Everything here is an *equivalence-preserving* rewrite: for any input it
 must return byte-identical results to the straightforward reference
@@ -439,8 +439,8 @@ class CacheStats:
 
     Kept *off* the campaign's :class:`~repro.obs.metrics.MetricsRegistry`
     on purpose: hit counts depend on the executor and shard layout (one
-    cache per process, shared by threads), so registering them would break
-    ``metrics.json``'s byte-identity across executor modes. Cache
+    cache per process, copied into each forked worker), so registering
+    them would break ``metrics.json``'s byte-identity across executor modes. Cache
     telemetry lives beside the cache and merges across shards on its own.
     """
 
@@ -482,9 +482,9 @@ class WasmCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict = OrderedDict()
-        # Guards the LRU order and the stats: thread-mode shards share one
-        # cache, and an eviction between get() and move_to_end() would
-        # raise KeyError.
+        # Guards the LRU order and the stats for callers that share one
+        # cache across threads: an eviction between get() and
+        # move_to_end() would raise KeyError.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -589,8 +589,8 @@ class WasmCache:
         )
 
 
-#: One cache per process: thread-mode shards all share it (hence the lock
-#: in :class:`WasmCache`); process-mode workers each get their own.
+#: One cache per process: serial shards all share it; process-mode
+#: workers each get their own copy-on-write copy.
 _shared_cache = WasmCache()
 
 

@@ -289,9 +289,8 @@ class _StreamWeb(SyntheticWeb):
     Any URL on a ``www.<indexed-domain>`` host triggers registration of
     exactly that site's resources; least-recently-touched sites are
     evicted wholesale (a site's resources live only on its own host, so
-    eviction removes exactly its keys). Instances are per-thread — the
-    population hands each worker thread its own — so no locking is
-    needed on the resource dict.
+    eviction removes exactly its keys). The population keeps one; a
+    forked shard worker mutates its own copy-on-write copy of it.
     """
 
     def __init__(self, population: "StreamingPopulation", cache_limit: int = 64) -> None:
@@ -367,9 +366,7 @@ class StreamingPopulation:
         self.includer_layer = layer_for_spec(self.spec, self.seed)
         self.sites = _LazySites(self, cache=site_cache)
         self._web_cache = web_cache
-        self._webs = threading.local()
-        self._all_webs: list = []
-        self._web_lock = threading.Lock()
+        self._web: Optional[_StreamWeb] = None
 
     # -- identity -----------------------------------------------------------
 
@@ -520,20 +517,15 @@ class StreamingPopulation:
 
     @property
     def web(self) -> SyntheticWeb:
-        """This thread's lazy web (one per worker thread by design)."""
-        web = getattr(self._webs, "web", None)
-        if web is None:
-            web = _StreamWeb(self, cache_limit=self._web_cache)
-            self._webs.web = web
-            with self._web_lock:
-                self._all_webs.append(web)
-        return web
+        """The population's lazy web, built on first use."""
+        if self._web is None:
+            self._web = _StreamWeb(self, cache_limit=self._web_cache)
+        return self._web
 
     def attach_fault_plan(self, plan) -> "StreamingPopulation":
         self.fault_plan = plan
-        with self._web_lock:
-            for web in self._all_webs:
-                web.fault_plan = plan
+        if self._web is not None:
+            self._web.fault_plan = plan
         return self
 
     def register_site(self, web: SyntheticWeb, index: int) -> tuple:

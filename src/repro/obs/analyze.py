@@ -65,7 +65,7 @@ def subtree_stage_ns(root: Span, children: dict) -> dict:
 
     Each span contributes ``duration - sum(child durations)`` to the
     bucket of its own name, so the values sum to ``span_ns(root)``
-    exactly. Overlapping children (thread-mode shards under a campaign)
+    exactly. Overlapping children (process-mode shards under a campaign)
     can push a bucket negative; the telescoping identity still holds.
     """
     totals: dict[str, int] = {}

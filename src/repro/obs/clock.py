@@ -10,8 +10,8 @@ wall-clock nondeterminism that previously made them untestable).
 
 The clock is installed with :func:`set_clock` or, scoped, with the
 :func:`use_clock` context manager. Forked process-pool workers inherit
-the parent's installed clock; thread workers share it (``TickClock`` is
-lock-protected, so concurrent reads stay strictly monotonic).
+the parent's installed clock (``TickClock`` is also lock-protected, so
+reads from several threads stay strictly monotonic).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class TickClock:
     ``start + N * tick``, so any quantity derived from paired reads
     (durations, rates, efficiencies) is a pure function of the work done
     — identical across runs. Reads are serialized by a lock, so the clock
-    stays strictly monotonic under thread pools too (though interleaving,
-    and hence thread-mode durations, is scheduler-dependent).
+    stays strictly monotonic when several threads read it too (though
+    their interleaving, and hence their durations, is scheduler-dependent).
     """
 
     __slots__ = ("_now", "tick", "_lock")

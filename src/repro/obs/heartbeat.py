@@ -8,8 +8,10 @@ flows through the injectable obs clock, so under a
 :class:`~repro.obs.clock.TickClock` the emitted lines are exactly
 reproducible: same work, same lines, byte for byte.
 
-Thread-safety: ``advance()`` is called concurrently by thread-mode shard
-workers; a single lock guards the counters and the emission decision.
+Thread-safety: a single lock guards the counters and the emission
+decision, so callers may ``advance()`` from several threads. The sharded
+executor calls it from one: per site in serial mode, per shard from the
+parent in process mode.
 Cost when idle: campaigns run with ``progress=None`` by default, so the
 no-``--heartbeat`` path performs zero clock reads and zero allocations.
 """

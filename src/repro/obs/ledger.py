@@ -61,9 +61,10 @@ COMPLETE_MARKER = "COMPLETE"
 #: workload. Two runs that differ only here are still comparable in
 #: ``repro obs diff`` — that is the whole point of diffing (e.g. a heavy
 #: fault profile against a clean baseline, or 8 shards against 1).
-#: ``fastpath`` names no current option: manifests written while the
-#: detection hot paths had a runtime switch carry the key, and keeping it
-#: here leaves those run directories comparable with new ones.
+#: ``fastpath`` and ``executor`` name no current option: manifests
+#: written while the detection hot paths had a runtime switch, or while
+#: crawls took an executor flag, carry the key, and keeping it here leaves
+#: those run directories comparable with new ones.
 EXECUTION_PARAMS = frozenset(
     {
         "shards",

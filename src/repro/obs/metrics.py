@@ -3,7 +3,7 @@
 Campaign accounting used to be split across ad-hoc aggregations —
 ``ShardMetrics``/``CampaignMetrics`` summed their own fields, the
 ``FaultLedger`` merged its own counters. The registry subsumes them under
-one algebra so every aggregation path (serial, thread, process, resumed)
+one algebra so every aggregation path (serial, process, resumed)
 is the *same* operation:
 
 - **counters** — monotone event counts; merge by integer addition,

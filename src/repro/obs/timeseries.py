@@ -566,8 +566,7 @@ class RecorderProgress:
     """Adapter that rides the campaign progress hooks to poll a recorder.
 
     Campaigns already thread an optional ``progress`` object through the
-    executors (per-site in serial/thread mode, per-shard in process
-    mode). Wrapping the real :class:`~repro.obs.heartbeat.ProgressReporter`
+    executors (per-site in serial mode, per-shard in process mode). Wrapping the real :class:`~repro.obs.heartbeat.ProgressReporter`
     (or ``None``) keeps that plumbing unchanged while giving the recorder
     a poll on every completion, clocked by the obs clock.
     """

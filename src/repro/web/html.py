@@ -130,20 +130,33 @@ class HtmlElement:
         return [el for el in self.iter() if el.tag == tag]
 
     def serialize(self) -> str:
-        attrs = "".join(
-            f' {name}="{escape(value)}"' if value is not None else f" {name}"
-            for name, value in self.attrs.items()
-        )
-        if self.tag in VOID_ELEMENTS:
-            return f"<{self.tag}{attrs}>"
-        inner = []
-        for child in self.children:
-            if isinstance(child, str):
-                # script/style bodies must not be entity-escaped
-                inner.append(child if self.tag in RAW_TEXT_ELEMENTS else escape(child))
+        """The subtree as HTML, walking an explicit stack like :meth:`iter`;
+        the strings on the stack are rendered text and end tags."""
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            tag = node.tag
+            if node.attrs:
+                attrs = "".join(
+                    f' {name}="{escape(value)}"' if value is not None else f" {name}"
+                    for name, value in node.attrs.items()
+                )
+                parts.append(f"<{tag}{attrs}>")
             else:
-                inner.append(child.serialize())
-        return f"<{self.tag}{attrs}>{''.join(inner)}</{self.tag}>"
+                parts.append(f"<{tag}>")
+            if tag in VOID_ELEMENTS:
+                continue
+            stack.append(f"</{tag}>")
+            if tag in RAW_TEXT_ELEMENTS:  # script/style bodies stay unescaped
+                stack.extend(reversed(node.children))
+            else:
+                for child in reversed(node.children):
+                    stack.append(escape(child) if isinstance(child, str) else child)
+        return "".join(parts)
 
 
 @dataclass

@@ -7,14 +7,17 @@
   character-at-a-time loops :class:`~repro.web.html.HtmlParser` ran before
   its tag scans became regexes, and :func:`extract_scripts`, the DOM
   parser on them, checked by ``tests/test_web_html.py`` and
-  ``tests/test_fastpath_differential.py``.
+  ``tests/test_fastpath_differential.py``;
+- :func:`serialize` — :meth:`~repro.web.html.HtmlElement.serialize` as it
+  recursed once per nesting level before it walked an explicit stack,
+  checked by ``tests/test_web_html.py``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.web.html import HtmlParser, unescape
+from repro.web.html import RAW_TEXT_ELEMENTS, VOID_ELEMENTS, HtmlParser, escape, unescape
 
 
 def has_host(web, host: str) -> bool:
@@ -99,3 +102,22 @@ class ReferenceParser(HtmlParser):
 def extract_scripts(html: str) -> list:
     """:func:`~repro.web.html.extract_scripts` on the character loops."""
     return ReferenceParser(html).parse().scripts()
+
+
+def serialize(element) -> str:
+    """An :class:`~repro.web.html.HtmlElement` subtree as HTML, one
+    recursive call per nesting level."""
+    attrs = "".join(
+        f' {name}="{escape(value)}"' if value is not None else f" {name}"
+        for name, value in element.attrs.items()
+    )
+    if element.tag in VOID_ELEMENTS:
+        return f"<{element.tag}{attrs}>"
+    inner = []
+    for child in element.children:
+        if isinstance(child, str):
+            # script/style bodies must not be entity-escaped
+            inner.append(child if element.tag in RAW_TEXT_ELEMENTS else escape(child))
+        else:
+            inner.append(serialize(child))
+    return f"<{element.tag}{attrs}>{''.join(inner)}</{element.tag}>"

@@ -19,9 +19,9 @@ import pytest
 from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
-    PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
+    can_fork,
 )
 from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultKind, FaultPlan, build_fault_plan
@@ -29,6 +29,15 @@ from repro.faults.resilience import BreakerPolicy, ResiliencePolicy, RetryPolicy
 from repro.internet.population import build_population
 
 pytestmark = pytest.mark.chaos
+
+#: the sharded cases: serial, and forked workers where ``fork`` exists
+SHARDED_MODES = [
+    ("serial", 4, 1),
+    pytest.param(
+        "process", 5, 3,
+        marks=pytest.mark.skipif(not can_fork(), reason="needs the fork start method"),
+    ),
+]
 
 SEED = 2018
 SCALE = 0.04
@@ -162,7 +171,7 @@ class TestShardedEqualsSequential:
         partial = campaign.scan_sites(population.sites, 0)
         return campaign.finalize_scan(partial, 0), partial.fault_ledger
 
-    @pytest.mark.parametrize("mode,shards,workers", [("serial", 4, 1), ("thread", 5, 3)])
+    @pytest.mark.parametrize("mode,shards,workers", SHARDED_MODES)
     def test_same_plan_same_results_and_ledger(self, sequential, mode, shards, workers):
         seq_result, seq_ledger = sequential
         population = _chaos_population("heavy")
@@ -174,6 +183,7 @@ class TestShardedEqualsSequential:
         assert result == seq_result
         assert _fault_counters(campaign.metrics.fault_ledger) == _fault_counters(seq_ledger)
 
+    @pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
     def test_chrome_sharded_equals_sequential(self):
         population = _chaos_population("mild")
         campaign = ChromeCampaign(population=population)
@@ -181,8 +191,8 @@ class TestShardedEqualsSequential:
         seq_result = campaign.finalize_run(seq_partial)
 
         sharded = ShardedChromeCampaign(
-            recipe=PopulationRecipe("alexa", seed=SEED, scale=SCALE, fault_profile="mild"),
-            config=ParallelConfig(shards=4, workers=2, mode="thread"),
+            population=_chaos_population("mild"),
+            config=ParallelConfig(shards=4, workers=2, mode="process"),
         )
         result = sharded.run()
         assert result == seq_result
@@ -193,7 +203,7 @@ class TestShardedEqualsSequential:
 
 class TestStreamingUnderChaos:
     """Fault plans attach to streaming populations exactly as to built
-    ones: per-thread lazy webs all carry the plan, accounting balances,
+    ones: the lazy web carries the plan, accounting balances,
     and execution mode cannot change the merged outcome."""
 
     def _streaming_population(self, profile: str):
@@ -212,7 +222,7 @@ class TestStreamingUnderChaos:
         assert partial.fault_ledger.balanced()
         assert partial.fault_ledger.total_injected > 0
 
-    @pytest.mark.parametrize("mode,shards,workers", [("serial", 4, 1), ("thread", 5, 3)])
+    @pytest.mark.parametrize("mode,shards,workers", SHARDED_MODES)
     def test_streamed_sharded_equals_sequential(self, mode, shards, workers):
         population = self._streaming_population("heavy")
         sequential = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
@@ -337,17 +347,20 @@ class TestKillAndResume:
         assert ledger.checkpoint_resumed == 0  # nothing crossed the seeds
 
     def test_chrome_full_replay_is_identical(self, tmp_path):
-        recipe = PopulationRecipe("alexa", seed=SEED, scale=SCALE, fault_profile="mild")
         config = ParallelConfig(
             shards=3, workers=1, mode="serial", checkpoint_dir=str(tmp_path)
         )
-        first_campaign = ShardedChromeCampaign(recipe=recipe, config=config)
+        first_campaign = ShardedChromeCampaign(
+            population=_chaos_population("mild"), config=config
+        )
         first = first_campaign.run()
         assert first_campaign.metrics.fault_ledger.checkpoint_recorded == len(
             first.reports
         )
 
-        second_campaign = ShardedChromeCampaign(recipe=recipe, config=config)
+        second_campaign = ShardedChromeCampaign(
+            population=_chaos_population("mild"), config=config
+        )
         second = second_campaign.run()
         assert second == first
         ledger = second_campaign.metrics.fault_ledger

@@ -160,7 +160,7 @@ class TestCampaignCommands:
         assert main(
             [
                 "--seed", "3", "crawl", "--dataset", "net", "--scale", "0.03",
-                "--shards", "2", "--executor", "serial", "--trace-out", str(trace),
+                "--shards", "2", "--trace-out", str(trace),
             ]
         ) == 0
         assert f"-> {trace}" in capsys.readouterr().out

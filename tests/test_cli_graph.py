@@ -1,7 +1,7 @@
 """CLI surface of the attribution graph: ``repro obs graph`` family.
 
 Pins the PR's acceptance criteria end to end: twin same-seed runs write
-byte-identical ``graph.jsonl`` regardless of shard count or executor,
+byte-identical ``graph.jsonl`` regardless of shard or worker count,
 ``path <miner> --to includer`` names the campaign includer that seeded
 the site, and the ``query --fail-on`` gates reuse the ledger-wide exit
 contract (0 ok / 1 violated / 2 bad expression).
@@ -16,7 +16,7 @@ from repro.obs.clock import TickClock, use_clock
 
 CRAWL = [
     "--seed", "11", "crawl", "--dataset", "alexa", "--scale", "0.05",
-    "--shards", "2", "--executor", "serial",
+    "--shards", "2",
 ]
 
 
@@ -43,8 +43,7 @@ class TestGraphArtifact:
         self, graph_run, tmp_path
     ):
         twin = tmp_path / "twin"
-        assert _crawl(twin, extra=["--shards", "3", "--executor", "thread",
-                                   "--workers", "2"]) == 0
+        assert _crawl(twin, extra=["--shards", "3", "--workers", "2"]) == 0
         assert (twin / "graph.jsonl").read_bytes() == (
             graph_run / "graph.jsonl"
         ).read_bytes()

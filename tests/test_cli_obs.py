@@ -13,13 +13,14 @@ import shutil
 
 import pytest
 
+from repro.analysis.parallel import can_fork
 from repro.cli import main
 from repro.obs.clock import TickClock, get_clock, use_clock
 from repro.obs.ledger import load_run
 
 CRAWL = [
     "--seed", "7", "crawl", "--dataset", "net", "--scale", "0.03",
-    "--shards", "2", "--executor", "serial",
+    "--shards", "2",
 ]
 
 
@@ -49,11 +50,13 @@ class TestRunDirDeterminism:
         assert manifest_a["run_id"] == manifest_b["run_id"]
         assert manifest_a["params"]["dataset"] == "net"
 
-    def test_serial_and_thread_runs_share_span_ids_and_counters(self, tmp_path):
-        serial, threaded = tmp_path / "s", tmp_path / "t"
+    @pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
+    def test_serial_and_process_runs_share_span_ids_and_counters(self, tmp_path):
+        serial, forked = tmp_path / "s", tmp_path / "p"
         assert _crawl_run(serial) == 0
-        assert _crawl_run(threaded, extra=["--executor", "thread", "--workers", "2"]) == 0
-        a, b = load_run(serial), load_run(threaded)
+        assert _crawl_run(forked, extra=["--workers", "2"]) == 0
+        a, b = load_run(serial), load_run(forked)
+        assert {s.tags["mode"] for s in b.spans if s.name == "campaign"} == {"process"}
         assert {s.span_id for s in a.spans} == {s.span_id for s in b.spans}
         assert a.registry.counters == b.registry.counters
         assert a.registry.histogram_counts() == b.registry.histogram_counts()
@@ -117,10 +120,10 @@ class TestObsDiff:
         assert main(["obs", "diff", str(a), str(b), "--force"]) == 0
 
     def test_execution_strategy_changes_stay_comparable(self, tmp_path, capsys):
-        # shards/workers/executor are execution params, not workload identity
+        # shards/workers are execution params, not workload identity
         a, b = tmp_path / "a", tmp_path / "b"
         _crawl_run(a)
-        _crawl_run(b, extra=["--executor", "thread", "--workers", "2"])
+        _crawl_run(b, extra=["--workers", "2"])
         capsys.readouterr()
         assert main(["obs", "diff", str(a), str(b)]) == 0
 
@@ -202,7 +205,7 @@ class TestObsFlagPlumbing:
 
 ALEXA_CRAWL = [
     "--seed", "11", "crawl", "--dataset", "alexa", "--scale", "0.05",
-    "--shards", "2", "--executor", "serial",
+    "--shards", "2",
 ]
 
 

@@ -313,7 +313,7 @@ class TestCrawlTimeseries:
         with use_clock(TickClock()):
             assert main([
                 "--seed", "7", "crawl", "--dataset", "net", "--scale", "0.03",
-                "--timeseries-interval", "0.05", "--executor", "serial",
+                "--timeseries-interval", "0.05",
                 "--run-dir", str(run),
             ]) == 0
         out = capsys.readouterr().out
@@ -333,7 +333,7 @@ class TestCrawlTimeseries:
             with use_clock(TickClock()):
                 assert main([
                     "--seed", "7", "crawl", "--dataset", "net", "--scale", "0.03",
-                    "--timeseries-interval", "0.05", "--executor", "serial",
+                    "--timeseries-interval", "0.05",
                     "--run-dir", str(run),
                 ]) == 0
             runs.append(run)

@@ -4,9 +4,9 @@ The same dataset crawled through ``main(["crawl", ...])`` and through
 ``run_reproduction`` yields the same summary counters (``crawl.zgrab{i}.*``
 against ``crawl.<dataset>.zgrab{i}.*``) and the same verdict records, and a
 crawl with more workers than shards runs one shard per worker without
-changing what it finds. A crawl with no executor flags runs the same
-sharded executor, serially, and finds what the sequential reference
-campaigns find.
+changing what it finds. A crawl with one worker runs the same sharded
+executor, serially, and finds what the sequential reference campaigns
+find.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.parallel import can_fork
 from repro.analysis.runner import (
     ObservedRun,
     ReproductionConfig,
@@ -90,18 +91,20 @@ def test_crawl_and_reproduce_agree(tmp_path, capsys, streamed):
     assert verdicts == _crawl_verdicts(reproduce)
 
 
+@pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 def test_each_worker_gets_a_shard(tmp_path, capsys):
-    _crawl(tmp_path / "serial", "--executor", "serial")
-    _crawl(tmp_path / "thread", "--executor", "thread", "--workers", "3")
+    _crawl(tmp_path / "serial")
+    _crawl(tmp_path / "process", "--workers", "3")
     serial = load_run(tmp_path / "serial")
-    threaded = load_run(tmp_path / "thread")
+    forked = load_run(tmp_path / "process")
 
-    campaigns = [span for span in threaded.spans if span.name == "campaign"]
+    campaigns = [span for span in forked.spans if span.name == "campaign"]
     assert [span.tags["shards"] for span in campaigns] == ["3", "3"]
-    shard_ids = {span.tags["shard"] for span in threaded.spans if "shard" in span.tags}
+    assert {span.tags["mode"] for span in campaigns} == {"process"}
+    shard_ids = {span.tags["shard"] for span in forked.spans if "shard" in span.tags}
     assert shard_ids == {"0", "1", "2"}
-    assert threaded.registry.counters == serial.registry.counters
-    assert (tmp_path / "thread" / "verdicts.jsonl").read_bytes() == (
+    assert forked.registry.counters == serial.registry.counters
+    assert (tmp_path / "process" / "verdicts.jsonl").read_bytes() == (
         tmp_path / "serial" / "verdicts.jsonl"
     ).read_bytes()
 

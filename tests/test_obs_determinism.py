@@ -7,7 +7,7 @@ Two guarantees:
    ``parallel_efficiency`` reproduce exactly across runs (previously these
    read :func:`time.perf_counter` directly and were untestable).
 2. With observability enabled, the *merged* view is executor-mode
-   invariant: serial, thread, and resumed runs agree on results, metric
+   invariant: serial, process, and resumed runs agree on results, metric
    counters, histogram observation counts, span name counts, and span id
    sets. Only durations may differ (they reflect the real schedule).
 """
@@ -18,9 +18,9 @@ import pytest
 
 from repro.analysis.parallel import (
     ParallelConfig,
-    PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
+    can_fork,
 )
 from repro.faults.resilience import ResiliencePolicy
 from repro.internet.population import build_population
@@ -28,6 +28,9 @@ from repro.obs.clock import TickClock, use_clock
 from repro.obs.profile import make_obs
 
 SHARDS = 4
+WORKERS = 3
+
+needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 
 
 @pytest.fixture(scope="module")
@@ -92,29 +95,33 @@ class TestTickClockTiming:
 
 
 class TestExecutorModeInvariance:
-    def test_serial_vs_thread(self, population):
+    @needs_fork
+    def test_serial_vs_process(self, population):
         with use_clock(TickClock()):
             serial_result, serial_metrics, serial_obs = _zgrab_run(population, "serial", 1)
-        thread_result, thread_metrics, thread_obs = _zgrab_run(population, "thread", SHARDS)
+        process_result, process_metrics, process_obs = _zgrab_run(
+            population, "process", WORKERS
+        )
 
-        assert serial_result == thread_result
+        assert serial_result == process_result
         assert (
             serial_metrics.merged_registry().counters
-            == thread_metrics.merged_registry().counters
+            == process_metrics.merged_registry().counters
         )
         assert (
             serial_metrics.merged_registry().histogram_counts()
-            == thread_metrics.merged_registry().histogram_counts()
+            == process_metrics.merged_registry().histogram_counts()
         )
-        assert _span_view(serial_obs) == _span_view(thread_obs)
+        assert _span_view(serial_obs) == _span_view(process_obs)
 
-    def test_chrome_serial_vs_thread(self):
-        recipe = PopulationRecipe("alexa", seed=42, scale=0.04)
+    @needs_fork
+    def test_chrome_serial_vs_process(self):
         views = []
-        for mode, workers in (("serial", 1), ("thread", SHARDS)):
+        for mode, workers in (("serial", 1), ("process", WORKERS)):
             obs = make_obs(prefix="cdet")
             campaign = ShardedChromeCampaign(
-                recipe=recipe,
+                # a fresh build per campaign: visits mutate the Coinhive pool state
+                population=build_population("alexa", seed=42, scale=0.04),
                 config=ParallelConfig(shards=SHARDS, workers=workers, mode=mode),
                 obs=obs,
             )
@@ -148,20 +155,21 @@ class TestStreamingInvariance:
 
         return StreamingPopulation("alexa", seed=42, size=250)
 
-    def test_serial_vs_thread(self, streaming_population):
+    @needs_fork
+    def test_serial_vs_process(self, streaming_population):
         with use_clock(TickClock()):
             serial_result, serial_metrics, serial_obs = _zgrab_run(
                 streaming_population, "serial", 1
             )
-        thread_result, thread_metrics, thread_obs = _zgrab_run(
-            streaming_population, "thread", SHARDS
+        process_result, process_metrics, process_obs = _zgrab_run(
+            streaming_population, "process", WORKERS
         )
-        assert serial_result == thread_result
+        assert serial_result == process_result
         assert (
             serial_metrics.merged_registry().counters
-            == thread_metrics.merged_registry().counters
+            == process_metrics.merged_registry().counters
         )
-        assert _span_view(serial_obs) == _span_view(thread_obs)
+        assert _span_view(serial_obs) == _span_view(process_obs)
 
     def test_streamed_resume_counters_match_fresh(self, streaming_population, tmp_path):
         checkpoint_dir = str(tmp_path / "journals")

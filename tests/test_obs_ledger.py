@@ -28,7 +28,6 @@ PARAMS = {
     "scale": 0.03,
     "shards": 2,
     "workers": 1,
-    "executor": "serial",
     "fault_profile": "",
     "heartbeat": 0.0,
 }
@@ -80,8 +79,7 @@ class TestManifest:
         base = RunManifest.build("crawl", PARAMS, git_describe="g")
         identity = base.identity()
         assert EXECUTION_PARAMS.isdisjoint(identity)
-        heavy = dict(PARAMS, shards=8, workers=4, executor="process",
-                     fault_profile="heavy", heartbeat=2.0)
+        heavy = dict(PARAMS, shards=8, workers=4, fault_profile="heavy", heartbeat=2.0)
         assert RunManifest.build("crawl", heavy, git_describe="g").identity() == identity
 
     def test_legacy_fastpath_param_keeps_runs_comparable(self, tmp_path):
@@ -97,6 +95,13 @@ class TestManifest:
         for name, manifest in (("legacy", legacy), ("current", current)):
             write_run(tmp_path / name, manifest, _registry(), _spans(), FaultLedger())
         assert main(["obs", "diff", str(tmp_path / "legacy"), str(tmp_path / "current")]) == 0
+
+    def test_legacy_executor_param_keeps_runs_comparable(self):
+        # Manifests written while crawls took an executor flag carry an
+        # "executor" param; new manifests have none.
+        legacy = RunManifest.build("crawl", dict(PARAMS, executor="thread"), git_describe="g")
+        current = RunManifest.build("crawl", PARAMS, git_describe="g")
+        assert legacy.identity() == current.identity()
 
     def test_identity_differs_on_workload_params(self):
         base = RunManifest.build("crawl", PARAMS, git_describe="g")

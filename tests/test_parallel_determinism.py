@@ -13,13 +13,15 @@ import pytest
 from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
-    PopulationRecipe,
     ShardedChromeCampaign,
     ShardedZgrabCampaign,
+    can_fork,
 )
 from repro.internet.population import build_population
 from repro.sim.rng import RngStream
 from repro.web.browser import HeadlessBrowser
+
+needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 
 
 class TestZgrabDeterminism:
@@ -27,10 +29,11 @@ class TestZgrabDeterminism:
     def population(self):
         return build_population("alexa", seed=42, scale=0.04)
 
+    @needs_fork
     def test_worker_count_invariance(self, population):
         results = []
-        for workers in (1, 2, 4):
-            config = ParallelConfig(shards=4, workers=workers, mode="thread")
+        for mode, workers in (("serial", 1), ("process", 2), ("process", 3)):
+            config = ParallelConfig(shards=4, workers=workers, mode=mode)
             campaign = ShardedZgrabCampaign(population=population, config=config)
             results.append((campaign.scan(0), campaign.scan(1)))
         assert results[0] == results[1] == results[2]
@@ -38,33 +41,40 @@ class TestZgrabDeterminism:
     def test_shard_count_invariance(self, population):
         sequential = ZgrabCampaign(population=population).scan(0)
         for shards in (2, 5, 8):
-            config = ParallelConfig(shards=shards, workers=2, mode="thread")
+            config = ParallelConfig(shards=shards, workers=1, mode="serial")
             assert ShardedZgrabCampaign(population=population, config=config).scan(0) == sequential
 
     def test_repeated_runs_identical(self, population):
-        config = ParallelConfig(shards=3, workers=3, mode="thread")
+        config = ParallelConfig(shards=3, workers=1, mode="serial")
         first = ShardedZgrabCampaign(population=population, config=config).scan(0)
         second = ShardedZgrabCampaign(population=population, config=config).scan(0)
         assert first == second
 
 
-class TestChromeDeterminism:
-    RECIPE = PopulationRecipe("alexa", seed=42, scale=0.04)
+def _chrome_population():
+    # a fresh build per campaign: visits mutate the Coinhive pool state
+    return build_population("alexa", seed=42, scale=0.04)
 
+
+class TestChromeDeterminism:
+    @needs_fork
     def test_worker_count_invariance(self):
         results = []
-        for workers in (1, 2, 3):
-            config = ParallelConfig(shards=3, workers=workers, mode="thread")
-            campaign = ShardedChromeCampaign(recipe=self.RECIPE, config=config)
+        for mode, workers in (("serial", 1), ("process", 2), ("process", 3)):
+            config = ParallelConfig(shards=3, workers=workers, mode=mode)
+            campaign = ShardedChromeCampaign(population=_chrome_population(), config=config)
             results.append(campaign.run())
         assert results[0] == results[1] == results[2]
 
+    @needs_fork
     def test_mode_invariance(self):
         serial = ShardedChromeCampaign(
-            recipe=self.RECIPE, config=ParallelConfig(shards=4, workers=1, mode="serial")
+            population=_chrome_population(),
+            config=ParallelConfig(shards=4, workers=1, mode="serial"),
         ).run()
         process = ShardedChromeCampaign(
-            recipe=self.RECIPE, config=ParallelConfig(shards=4, workers=2, mode="process")
+            population=_chrome_population(),
+            config=ParallelConfig(shards=4, workers=2, mode="process"),
         ).run()
         assert serial == process
 
@@ -121,6 +131,7 @@ class TestRngIsolation:
 
 
 class TestMergeOrderIndependence:
+    @needs_fork
     def test_merge_in_shard_id_order(self):
         """Partials merge by shard id, not completion order: two campaigns
         with wildly different worker counts end up byte-equal, including
@@ -132,7 +143,7 @@ class TestMergeOrderIndependence:
         ).scan(0)
         rhs = ShardedZgrabCampaign(
             population=population,
-            config=ParallelConfig(shards=8, workers=8, mode="thread"),
+            config=ParallelConfig(shards=8, workers=3, mode="process"),
         ).scan(0)
         assert lhs == rhs
         assert list(lhs.script_shares.items()) == list(rhs.script_shares.items())

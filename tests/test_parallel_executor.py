@@ -14,6 +14,7 @@ from repro.analysis.crawl import ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
     ShardedZgrabCampaign,
+    can_fork,
     partition_indices,
     stable_shard,
 )
@@ -27,6 +28,8 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - dev extra not installed
     HAVE_HYPOTHESIS = False
+
+needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +129,15 @@ class TestShardedEqualsSequential:
                         population.spec.name, num_shards, scan_index,
                     )
 
-    def test_thread_mode(self, cases):
+    @needs_fork
+    def test_process_mode_every_population(self, cases):
         for population, sequential in cases:
-            config = ParallelConfig(shards=6, workers=3, mode="thread")
+            config = ParallelConfig(shards=6, workers=3, mode="process")
             sharded = ShardedZgrabCampaign(population=population, config=config)
             assert sharded.scan(0) == sequential[0]
             assert sharded.scan(1) == sequential[1]
 
+    @needs_fork
     def test_process_mode(self, cases):
         population, sequential = cases[0]
         config = ParallelConfig(shards=4, workers=2, mode="process")
@@ -142,7 +147,7 @@ class TestShardedEqualsSequential:
     def test_script_shares_survive_merge(self, cases):
         """Share dicts (label → fraction) must match exactly, not just keys."""
         for population, sequential in cases:
-            config = ParallelConfig(shards=7, workers=2, mode="thread")
+            config = ParallelConfig(shards=7, workers=1, mode="serial")
             result = ShardedZgrabCampaign(population=population, config=config).scan(0)
             assert result.script_shares == sequential[0].script_shares
             # ordered equality too: rendered share listings must not depend
@@ -163,7 +168,7 @@ class TestShardMetrics:
         population = build_population("net", seed=9, scale=0.3)
         campaign = ShardedZgrabCampaign(
             population=population,
-            config=ParallelConfig(shards=4, workers=2, mode="thread"),
+            config=ParallelConfig(shards=4, workers=1, mode="serial"),
         )
         campaign.scan(0)
         return campaign
@@ -238,7 +243,7 @@ class TestRetry:
 
         monkeypatch.setattr(parallel, "_zgrab_shard_work", poisoned)
         config = ParallelConfig(
-            shards=4, workers=2, mode="thread",
+            shards=4, workers=1, mode="serial",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
         campaign = ShardedZgrabCampaign(population=population, config=config)
@@ -269,7 +274,7 @@ class TestRetry:
 
         monkeypatch.setattr(parallel, "_zgrab_shard_work", flaky)
         config = ParallelConfig(
-            shards=3, workers=2, mode="thread",
+            shards=3, workers=1, mode="serial",
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
         campaign = ShardedZgrabCampaign(population=population, config=config)
@@ -288,3 +293,5 @@ class TestConfigValidation:
             ParallelConfig(workers=0)
         with pytest.raises(ValueError):
             ParallelConfig(mode="asyncio")
+        with pytest.raises(ValueError):
+            ParallelConfig(mode="thread")

@@ -1,11 +1,12 @@
 """`run_reproduction` runs the network study beside the crawls.
 
 The study (Figure 5 + Table 6) shares no input with the crawls, so with a
-second CPU it runs in a one-worker fork pool while the parent crawls. The
+second CPU it runs in one forked worker while the parent crawls. The
 overlapped and inline paths must give the same report and, under
 ``TickClock``, byte-identical run directories; no worker may outlive the
 call, whether it returns or raises; a failing worker fails the call; and
-the fork happens while the process still has one thread.
+every fork, the study's and the crawl pools', happens while the process
+has one thread.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import textwrap
 import pytest
 
 from repro.analysis import runner
-from repro.analysis.parallel import fork_pool
+from repro.analysis.parallel import ForkedCall, executor_mode
 from repro.analysis.runner import ReproductionConfig, run_reproduction
 from repro.obs.clock import TickClock, use_clock
 
@@ -43,13 +44,18 @@ def small_config(**overrides) -> ReproductionConfig:
     return ReproductionConfig(**fields)
 
 
+def overlapped(config) -> ForkedCall:
+    return ForkedCall(runner._network_study_in_worker, config)
+
+
+def inline(config) -> None:
+    return None
+
+
 @pytest.fixture(params=["overlapped", "inline"])
 def path(request, monkeypatch):
     """Force one path whatever this host's CPU count."""
-    if request.param == "overlapped":
-        monkeypatch.setattr(runner, "_network_pool", lambda config: fork_pool(1))
-    else:
-        monkeypatch.setattr(runner, "_network_pool", lambda config: None)
+    monkeypatch.setattr(runner, "_network_worker", globals()[request.param])
     return request.param
 
 
@@ -74,8 +80,8 @@ def _same_tree(left, right) -> bool:
 class TestSameOutputs:
     def test_overlapped_and_inline_reports_and_run_dirs_match(self, tmp_path, monkeypatch):
         reports = {}
-        for name, pool in (("overlapped", lambda config: fork_pool(1)), ("inline", lambda config: None)):
-            monkeypatch.setattr(runner, "_network_pool", pool)
+        for name, worker in (("overlapped", overlapped), ("inline", inline)):
+            monkeypatch.setattr(runner, "_network_worker", worker)
             config = small_config(run_dir=str(tmp_path / name), profile=True)
             reports[name] = _reproduce(config)
         assert reports["overlapped"].sections == reports["inline"].sections
@@ -85,8 +91,8 @@ class TestSameOutputs:
 
     def test_unobserved_reports_match(self, monkeypatch):
         sections = []
-        for pool in (lambda config: fork_pool(1), lambda config: None):
-            monkeypatch.setattr(runner, "_network_pool", pool)
+        for worker in (overlapped, inline):
+            monkeypatch.setattr(runner, "_network_worker", worker)
             sections.append(_reproduce(small_config()).sections)
         assert sections[0] == sections[1]
 
@@ -94,29 +100,64 @@ class TestSameOutputs:
 class TestWhichPath:
     def test_two_cpus_fork_one_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pool = runner._network_pool(small_config())
+        worker = runner._network_worker(small_config())
         try:
-            assert pool is not None
+            assert isinstance(worker, ForkedCall)
         finally:
-            pool.shutdown()
+            worker.close()
 
     def test_one_cpu_runs_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert runner._network_pool(small_config()) is None
+        assert runner._network_worker(small_config()) is None
 
-    def test_process_mode_crawls_run_it_inline(self, monkeypatch):
+    def test_no_fork_runs_it_inline_and_crawls_serially(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = small_config(crawl_executor="process", crawl_workers=2)
-        assert runner._network_pool(config) is None
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert runner._network_worker(small_config(crawl_workers=2)) is None
+        assert executor_mode(2) == "serial"
 
-    def test_one_process_worker_crawls_serially_and_gets_a_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pool = runner._network_pool(small_config(crawl_executor="process", crawl_workers=1))
-        try:
-            assert pool is not None
-        finally:
-            pool.shutdown()
+    def test_two_crawl_workers_fork_the_study_and_every_pool_single_threaded(self):
+        """With ``crawl_workers=2`` the study still runs in its worker, and
+        the crawls' process pools fork after it from a one-thread parent."""
+        completed = _run_script("""
+            import os, threading
+            from repro.analysis import runner
+            from repro.analysis.runner import ReproductionConfig, run_reproduction
+
+            parent = os.getpid()
+            events = []
+            real_fork, real_crawl = os.fork, runner.crawl_dataset
+            real_simulate = runner.simulate_network
+
+            def fork():
+                events.append(("fork", threading.active_count()))
+                return real_fork()
+
+            def crawl(*args, **kwargs):
+                events.append(("crawl",))
+                return real_crawl(*args, **kwargs)
+
+            def simulate(*args, **kwargs):
+                assert os.getpid() != parent, "the network study ran in the parent"
+                return real_simulate(*args, **kwargs)
+
+            os.fork = fork
+            os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host
+            runner.crawl_dataset = crawl
+            runner.simulate_network = simulate
+            config = ReproductionConfig(
+                seed=7, datasets=("alexa", "net"), crawl_scale=0.02,
+                shortlink_scale=0.0005, network_days=1, crawl_workers=2, heartbeat=0.5,
+            )
+            run_reproduction(config, log=lambda *args: None)
+            forks = [event for event in events if event[0] == "fork"]
+            assert events[0] == ("fork", 1), events
+            assert len(forks) > 1 and set(forks) == {("fork", 1)}, events
+            print(f"{len(forks)} forks, each single-threaded")
+        """)
+        assert completed.returncode == 0, completed.stderr[-3000:]
+        assert "forks, each single-threaded" in completed.stdout
 
 
 class TestNoLeftovers:
@@ -139,7 +180,7 @@ class TestNoLeftovers:
         assert multiprocessing.active_children() == []
 
     def test_the_worker_runs_at_a_lower_priority(self, monkeypatch):
-        monkeypatch.setattr(runner, "_network_pool", lambda config: fork_pool(1))
+        monkeypatch.setattr(runner, "_network_worker", overlapped)
 
         def report_priority(*_args, **_kwargs):
             raise ValueError(f"niceness {os.nice(0)}")
@@ -191,8 +232,7 @@ class TestFreshProcess:
             runner.crawl_dataset = crawl
             status = main([
                 "--seed", "7", "reproduce", "--crawl-scale", "0.02",
-                "--shortlink-scale", "0.0005", "--days", "1",
-                "--workers", "2", "--heartbeat", "0.5",
+                "--shortlink-scale", "0.0005", "--days", "1", "--heartbeat", "0.5",
                 "--timeseries-interval", "0.05",
                 "--run-dir", {str(tmp_path / "run")!r},
                 "--out", {str(tmp_path / "report.md")!r},
@@ -208,12 +248,10 @@ class TestFreshProcess:
     def test_a_worker_that_dies_raises_instead_of_hanging(self):
         completed = _run_script("""
             import multiprocessing, os
-            from concurrent.futures.process import BrokenProcessPool
             from repro.analysis import runner
-            from repro.analysis.parallel import fork_pool
             from repro.analysis.runner import ReproductionConfig, run_reproduction
 
-            runner._network_pool = lambda config: fork_pool(1)
+            os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host
             runner.simulate_network = lambda config: os._exit(3)
             config = ReproductionConfig(
                 seed=7, datasets=("net",), crawl_scale=0.02,
@@ -221,9 +259,10 @@ class TestFreshProcess:
             )
             try:
                 run_reproduction(config, log=lambda *args: None)
-            except BrokenProcessPool:
-                print("broken pool raised")
+            except RuntimeError as exc:
+                assert "exit code 3" in str(exc), exc
+                print("dead worker raised")
             assert multiprocessing.active_children() == []
         """)
         assert completed.returncode == 0, completed.stderr[-3000:]
-        assert "broken pool raised" in completed.stdout
+        assert "dead worker raised" in completed.stdout

@@ -126,8 +126,8 @@ class TestCircuitBreaker:
 
 
 class TestHalfOpenConcurrency:
-    """The half-open window must admit exactly one probe, even when the
-    thread executor has many workers hammering the same breaker."""
+    """The half-open window must admit exactly one probe, even when many
+    threads hammer the same breaker."""
 
     def test_exactly_one_probe_admitted_per_half_open_window(self):
         breaker = CircuitBreaker(

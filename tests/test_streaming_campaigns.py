@@ -5,8 +5,8 @@ identical however it is executed. This suite drives the real campaigns
 (sharded zgrab, checkpoint journals, run ledger, scorecard, CLI) over
 streamed populations and pins:
 
-- serial / thread / process executor invariance of results, counters,
-  and span views;
+- serial / process executor invariance of results, counters, and span
+  views;
 - kill-and-resume equal to an uninterrupted run, with O(1)-sized journal
   fingerprints doing the matching;
 - per-stratum prevalence estimates converging on the configured rates,
@@ -24,7 +24,7 @@ import tracemalloc
 import pytest
 
 from repro.analysis.crawl import ZgrabCampaign
-from repro.analysis.parallel import ParallelConfig, ShardedZgrabCampaign
+from repro.analysis.parallel import ParallelConfig, ShardedZgrabCampaign, can_fork
 from repro.faults.resilience import RetryPolicy
 from repro.internet.population import DATASETS
 from repro.internet.streaming import StreamingPopulation, parse_strata
@@ -35,6 +35,8 @@ SEED = 2018
 SIZE = 320
 SHARDS = 4
 STRATA_TEXT = "top:40:0.5,mid:160:0.25,tail:-:0.1"
+
+needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 
 
 def _population(dataset="alexa", seed=SEED, size=SIZE, strata_text=STRATA_TEXT, sample=0):
@@ -73,7 +75,8 @@ def _nonhealth_counters(registry):
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("mode,workers", [("thread", SHARDS), ("process", 2)])
+    @needs_fork
+    @pytest.mark.parametrize("mode,workers", [("process", 2)])
     def test_parallel_equals_serial(self, mode, workers):
         serial_result, serial_metrics, serial_obs = _run(_population(), "serial", 1)
         result, metrics, obs = _run(_population(), mode, workers)
@@ -88,17 +91,19 @@ class TestExecutorInvariance:
         )
         assert _span_view(obs) == _span_view(serial_obs)
 
+    @needs_fork
     def test_verdict_stream_is_mode_invariant(self):
         serial_result, _, _ = _run(_population(), "serial", 1)
-        thread_result, _, _ = _run(_population(), "thread", SHARDS)
+        process_result, _, _ = _run(_population(), "process", 3)
         serial_dump = [v.to_dict() for v in serial_result.verdicts]
-        assert serial_dump == [v.to_dict() for v in thread_result.verdicts]
+        assert serial_dump == [v.to_dict() for v in process_result.verdicts]
         assert all(v["stratum"] in ("top", "mid", "tail") for v in serial_dump)
 
+    @needs_fork
     def test_sampled_campaign_is_mode_invariant(self):
         serial_result, _, _ = _run(_population(sample=11), "serial", 1)
-        thread_result, _, _ = _run(_population(sample=11), "thread", SHARDS)
-        assert serial_result == thread_result
+        process_result, _, _ = _run(_population(sample=11), "process", 3)
+        assert serial_result == process_result
         assert serial_result.domains_probed == 33  # 11 per stratum
 
     def test_sharded_equals_unsharded_campaign(self):
@@ -106,7 +111,7 @@ class TestExecutorInvariance:
         sequential = ZgrabCampaign(population=population)
         partial = sequential.scan_sites(population.sites, 0)
         baseline = sequential.finalize_scan(partial, 0)
-        sharded, _, _ = _run(_population(), "thread", SHARDS)
+        sharded, _, _ = _run(_population(), "serial", 1)
         assert sharded == baseline
 
     def test_timing_reproduces_under_tick_clock(self):

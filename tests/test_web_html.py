@@ -135,6 +135,31 @@ class TestSerialization:
         doc = parse_html("<p>a &lt; b</p>")
         assert "&lt;" in doc.serialize()
 
+    @given(
+        html=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ("<a>", "</a>", "<p x=1 y>", "<br>", "<img src='&'>", "<script>",
+                     "</script>", "<style>", "</style>", "<div>", "</div>", "&lt;", "<!--c-->")
+                ),
+                st.text(max_size=4),
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_recursive_serializer(self, html):
+        root = parse_html(html).root
+        assert root.serialize() == oracle.serialize(root)
+        for element in root.iter():
+            assert element.serialize() == oracle.serialize(element)
+
+    def test_a_2000_level_page_serializes(self):
+        doc = parse_html('<a "x">' * 2000)
+        html = doc.serialize()
+        assert html.count("<a") == 2000
+        assert parse_html(html).serialize() == html
+
 
 # Characters that steer the tag scans: quotes, ``=``, ``>``, ``/``, the
 # whitespace the attribute-name loop stops at and the whitespace it does
