@@ -1,10 +1,9 @@
 """Extension — feeding fingerprint results back into the block list.
 
 The paper's operational takeaway is that lists lag the ecosystem. This
-bench closes the loop: generate Adblock rules from the signature-detected
-miners of the Alexa and .org crawls and measure how far the NoCoin gap
-(82% / 67% missed) closes — and what structurally cannot be closed
-(first-party loaders).
+bench closes the loop: generate one Adblock host rule per mining
+WebSocket endpoint of the signature-detected miners of the Alexa and .org
+crawls, and measure how far the NoCoin gap (82% / 67% missed) closes.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ from repro.analysis.defense import augmented_list, evaluate_coverage, generate_r
 from repro.analysis.reporting import render_table
 
 
-def test_ext_blocklist_generation(benchmark, chrome_results, populations):
+def test_ext_blocklist_generation(benchmark, chrome_results):
     def run():
         out = {}
         for name, result in chrome_results.items():
-            site_hosts = {
-                s.domain: f"www.{s.domain}" for s in populations[name].sites
-            }
-            generated = generate_rules(result.reports, site_hosts)
+            generated = generate_rules(result.reports)
             combined = augmented_list(generated)
             out[name] = (generated, evaluate_coverage(result.reports, combined))
         return out

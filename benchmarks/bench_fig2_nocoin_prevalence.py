@@ -10,8 +10,7 @@ wp-monero, cryptoloot, cpmstar, other.
 
 from __future__ import annotations
 
-from conftest import emit
-from repro.analysis.crawl import ZgrabCampaign
+from conftest import both_scans, emit
 from repro.analysis.reporting import render_table
 
 PAPER_COUNTS = {
@@ -27,8 +26,7 @@ def test_fig2_nocoin_prevalence(benchmark, populations):
 
     def run():
         return {
-            name: ZgrabCampaign(population=populations[name]).both_scans()
-            for name in ("alexa", "com", "net", "org")
+            name: both_scans(populations[name]) for name in ("alexa", "com", "net", "org")
         }
 
     scans = benchmark.pedantic(run, rounds=1, iterations=1)

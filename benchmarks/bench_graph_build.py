@@ -16,7 +16,7 @@ import time
 import tracemalloc
 
 from conftest import emit, emit_json
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.parallel import ShardedChromeCampaign, ShardedZgrabCampaign
 from repro.graph.build import add_verdict
 from repro.graph.model import Graph, graph_to_jsonl, parse_graph_jsonl
 from repro.internet.population import build_population
@@ -34,8 +34,8 @@ def _observed_verdicts():
     sites = {site.domain: site for site in population.sites}
     triples = []
     for result in (
-        ZgrabCampaign(population=population, obs=make_obs(prefix="bench-z")).scan(0),
-        ChromeCampaign(population=population, obs=make_obs(prefix="bench-c")).run(),
+        ShardedZgrabCampaign(population=population, obs=make_obs(prefix="bench-z")).scan(0),
+        ShardedChromeCampaign(population=population, obs=make_obs(prefix="bench-c")).run(),
     ):
         for record in result.verdicts:
             site = sites.get(record.subject)

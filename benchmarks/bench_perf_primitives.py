@@ -125,24 +125,26 @@ def _count_evidence():
 def test_perf_campaign_without_run_dir_reads_no_clock(benchmark):
     """The no-``--run-dir``/no-heartbeat campaign path stays zero-cost.
 
-    A plain sequential scan with the disabled obs singleton and no
-    progress reporter must perform **zero** obs-clock reads — persisting
-    run artifacts and heartbeats are strictly opt-in overhead.
+    A one-shard scan with the disabled obs singleton and no progress
+    reporter reads the obs clock only for the executor's wall timings —
+    one start/stop pair for the campaign and one for its shard — and
+    **never** per site: persisting run artifacts and heartbeats are
+    strictly opt-in overhead.
     """
-    from repro.analysis.crawl import ZgrabCampaign
+    from repro.analysis.parallel import ShardedZgrabCampaign
     from repro.internet.population import build_population
     from repro.obs.clock import TickClock, use_clock
 
     population = build_population("net", seed=7, scale=0.02)
-    campaign = ZgrabCampaign(population=population)
+    campaign = ShardedZgrabCampaign(population=population)
     clock = TickClock()
     with use_clock(clock), _count_evidence() as evidence:
         result = benchmark.pedantic(lambda: campaign.scan(0), rounds=1, iterations=1)
-    assert clock.reads == 0, "no-run-dir campaign path read the obs clock"
+    assert result.domains_probed > 4  # so a read per site would show
+    assert clock.reads == 4, "no-run-dir campaign path read the obs clock per site"
     # ... and zero evidence work: the detector never flips into its
     # evidence-collecting mode, builds no Evidence, and no verdicts are
     # built or serialized.
-    assert campaign.detector.collect_evidence is False
     assert result.nocoin_domains > 0, "no NoCoin hit: nothing to explain"
     assert not evidence, f"NULL_OBS campaign built {len(evidence)} Evidence records"
     assert result.verdicts == (), "NULL_OBS campaign built verdict records"

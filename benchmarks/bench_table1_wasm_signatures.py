@@ -11,7 +11,7 @@ Paper:
 from __future__ import annotations
 
 from conftest import emit
-from repro.analysis.crawl import ChromeCampaign
+from repro.analysis.parallel import ShardedChromeCampaign
 from repro.analysis.reporting import render_table
 
 PAPER_TOP5 = {
@@ -32,7 +32,7 @@ def test_table1_wasm_signatures(benchmark, populations):
 
     def run():
         return {
-            name: ChromeCampaign(population=populations[name]).run()
+            name: ShardedChromeCampaign(population=populations[name]).run()
             for name in ("alexa", "org")
         }
 

@@ -21,8 +21,8 @@ import pathlib
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.network import NetworkSimConfig, simulate_network
+from repro.analysis.parallel import ShardedChromeCampaign, ShardedZgrabCampaign
 from repro.analysis.shortlink import ShortLinkStudy
 from repro.core.signatures import build_reference_database
 from repro.internet.population import build_population
@@ -76,17 +76,28 @@ def _capture_benchmark_timings(request):
         pass
 
 
+def _read_result(path: pathlib.Path):
+    """A results JSON file's payload; ``None`` when missing or unreadable."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
 def pytest_sessionfinish(session, exitstatus):
     if _BENCH_TIMINGS:
-        emit_json("bench_timings", {"benchmarks": dict(sorted(_BENCH_TIMINGS.items()))})
+        # merge, not overwrite: a session that ran one benchmark file
+        # keeps every other file's recorded timings
+        recorded = _read_result(RESULTS_DIR / "bench_timings.json") or {}
+        timings = {**recorded.get("benchmarks", {}), **_BENCH_TIMINGS}
+        emit_json("bench_timings", {"benchmarks": dict(sorted(timings.items()))})
     merged = {}
     for path in sorted(RESULTS_DIR.glob("*.json")) if RESULTS_DIR.exists() else []:
         if path.name == "BENCH_SUMMARY.json":
             continue
-        try:
-            merged[path.stem] = json.loads(path.read_text())
-        except ValueError:
-            continue
+        payload = _read_result(path)
+        if payload is not None:
+            merged[path.stem] = payload
     if merged:
         (RESULTS_DIR / "BENCH_SUMMARY.json").write_text(
             json.dumps(merged, indent=2, sort_keys=True) + "\n"
@@ -106,18 +117,23 @@ def populations():
     }
 
 
+def both_scans(population) -> list:
+    """Both zgrab scan dates of ``population``, one serial shard each."""
+    campaign = ShardedZgrabCampaign(population=population)
+    return [campaign.scan(0), campaign.scan(1)]
+
+
 @pytest.fixture(scope="session")
 def zgrab_scans(populations):
     return {
-        name: ZgrabCampaign(population=populations[name]).both_scans()
-        for name in ("alexa", "com", "net", "org")
+        name: both_scans(populations[name]) for name in ("alexa", "com", "net", "org")
     }
 
 
 @pytest.fixture(scope="session")
 def chrome_results(populations):
     return {
-        name: ChromeCampaign(population=populations[name]).run()
+        name: ShardedChromeCampaign(population=populations[name]).run()
         for name in ("alexa", "org")
     }
 

@@ -9,7 +9,7 @@ pass (Tables 1 and 2) — and prints paper-style tables.
 Run:  python examples/crawl_study.py
 """
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.parallel import ShardedChromeCampaign, ShardedZgrabCampaign
 from repro.analysis.reporting import render_table
 from repro.internet.population import build_population
 
@@ -21,7 +21,8 @@ def main() -> None:
               f"({len(population.sites)} crawled sites, scale 0.2) ########")
 
         # --- Section 3.1: zgrab + NoCoin (Figure 2) ---
-        scans = ZgrabCampaign(population=population).both_scans()
+        zgrab = ShardedZgrabCampaign(population=population)
+        scans = [zgrab.scan(0), zgrab.scan(1)]
         rows = [
             [scan.scan_date, scan.nocoin_domains,
              ", ".join(f"{k} {v:.0%}" for k, v in list(scan.script_shares.items())[:4])]
@@ -31,7 +32,7 @@ def main() -> None:
                            title="\nFigure 2 style: NoCoin hits per scan"))
 
         # --- Section 3.2: Chrome crawl (Tables 1 + 2) ---
-        result = ChromeCampaign(population=population).run()
+        result = ShardedChromeCampaign(population=population).run()
         rows = [[family, count] for family, count in result.signature_counts.most_common(5)]
         rows.append(["Total WebAssembly", result.total_wasm_sites])
         print(render_table(["classification", "count"], rows,

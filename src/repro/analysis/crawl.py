@@ -9,23 +9,29 @@ of ``http://www.<domain>`` with Wasm-signature classification, NoCoin
 re-matching on post-execution HTML, and RuleSpace categorization.
 
 Both campaigns are written as *merge-friendly* pipelines: the per-site work
-lives in ``scan_sites``/``run_sites``, which return additive partial
-results, and the final report is assembled by a separate ``finalize_*``
-step. The sequential entry points (``scan``/``run``) are just
-"one partial covering every site"; the sharded executor in
-:mod:`repro.analysis.parallel` runs the same per-site code on site subsets
-and merges the partials — by construction the merged output is identical
-to the sequential one.
+lives in ``scan_sites_indexed``/``run_sites``, which take ``(population
+index, site)`` pairs and return additive partial results, and the final
+report is assembled by a separate ``finalize_*`` step. Every crawl runs
+through the sharded executor in :mod:`repro.analysis.parallel`, which
+runs that per-site code on site subsets and merges the partials; the
+one-partial-over-every-site loops it is checked against live in
+``tests/oracles/crawl.py``.
+
+Per-site outcomes (:class:`ZgrabSiteOutcome`, :class:`ChromeSiteOutcome`)
+are the checkpoint unit: each has a ``to_dict``/``from_dict`` codec, so a
+shard's journal (:mod:`repro.faults.checkpoint`) holds plain data.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable, Optional
 
+from repro.core.classifier import Classification
 from repro.core.detector import CrossTabulation, DetectionReport, PageDetector, cross_tabulate
-from repro.core.signatures import build_reference_database
+from repro.core.features import WasmFeatures
 from repro.faults.checkpoint import CheckpointJournal
 from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultKind
@@ -33,8 +39,8 @@ from repro.faults.resilience import ResiliencePolicy
 from repro.faults.taxonomy import ErrorClass
 from repro.graph.build import add_verdict
 from repro.graph.model import Graph
-from repro.internet.population import SiteSpec, WebPopulation
-from repro.obs.evidence import VerdictRecord
+from repro.internet.population import Population, SiteSpec, WebPopulation
+from repro.obs.evidence import Evidence, VerdictRecord
 from repro.obs.profile import NULL_OBS, Obs
 from repro.rulespace.engine import RuleSpaceEngine
 from repro.web.browser import BrowserConfig, HeadlessBrowser
@@ -74,19 +80,20 @@ def _visit_journaled(
     ledger: FaultLedger,
     visit,
     settle,
+    decode: Callable[[dict], object],
 ) -> None:
     """The per-site loop both campaigns share.
 
     Each ``(population index, site)`` pair runs in a ``site`` span: a site
-    the ``journal`` already holds replays its recorded outcome and stage
-    spans, any other runs ``visit(site)`` and, with a journal, is recorded
-    as it completes. ``settle(span, index, site, outcome)`` folds the
-    outcome into the campaign's partial and says whether the site failed;
-    ``progress`` then advances by the site. Checkpoint tallies land in
-    ``ledger``.
+    the ``journal`` already holds replays its recorded outcome (rebuilt by
+    ``decode``) and stage spans, any other runs ``visit(site)`` and, with
+    a journal, is recorded as it completes. ``settle(span, index, site,
+    outcome)`` folds the outcome into the campaign's partial and says
+    whether the site failed; ``progress`` then advances by the site.
+    Checkpoint tallies land in ``ledger``.
     """
     record_spans = journal is not None and obs.enabled
-    done = journal.load() if journal is not None else {}
+    done = journal.load(decode) if journal is not None else {}
     for index, site in indexed_sites:
         with obs.span("site", domain=site.domain) as span:
             outcome = done.get(index)
@@ -94,7 +101,7 @@ def _visit_journaled(
                 span.set_tag("resumed", 1)
                 ledger.checkpoint_resumed += 1
                 if obs.enabled:
-                    _replay_stage_spans(obs, getattr(outcome, "stage_spans", ()))
+                    _replay_stage_spans(obs, outcome.stage_spans)
             else:
                 mark = len(obs.tracer.spans) if record_spans else 0
                 outcome = visit(site)
@@ -104,7 +111,7 @@ def _visit_journaled(
                             outcome,
                             stage_spans=_captured_stage_spans(obs.tracer.spans, mark),
                         )
-                    journal.record(index, outcome)
+                    journal.record(index, outcome.to_dict())
                     ledger.checkpoint_recorded += 1
             failed = settle(span, index, site, outcome)
         if progress is not None:
@@ -117,10 +124,17 @@ def _visit_journaled(
             )
 
 
-def _includers_for(population, site) -> tuple:
-    """The seeded includers of one site; ``()`` for pre-layer populations."""
-    layer = getattr(population, "includer_layer", None)
-    return layer.includers_for(site) if layer is not None else ()
+def _file_verdict(partial, index: int, population: Population, site: SiteSpec, record) -> None:
+    """Add one site's verdict to ``partial`` and to its attribution graph."""
+    partial.verdicts.append((index, record))
+    add_verdict(
+        partial.graph, record, site=site, includers=population.includer_layer.includers_for(site)
+    )
+
+
+def _population_order(pairs: list) -> tuple:
+    """The values of ``(population index, value)`` pairs, in index order."""
+    return tuple(value for _, value in sorted(pairs, key=lambda item: item[0]))
 
 
 def _canonical_order(counter: Counter) -> Counter:
@@ -135,14 +149,14 @@ def _canonical_order(counter: Counter) -> Counter:
     return Counter(dict(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
-def _stratum_rows(population, partial: "ZgrabScanPartial") -> tuple:
-    """Per-stratum prevalence rows, rank order; empty for legacy builds.
+def _stratum_rows(population: Population, partial: "ZgrabScanPartial") -> tuple:
+    """Per-stratum prevalence rows, rank order; empty for unstratified builds.
 
     Prevalence is over *successful* probes, then extrapolated over the
     stratum's full rank range — the honest way to report a stratified
     sample against the whole population.
     """
-    strata = getattr(population, "strata", ())
+    strata = population.strata
     if not strata or not partial.stratum_probed:
         return ()
     sizes = population.stratum_sizes()
@@ -251,8 +265,97 @@ class ZgrabScanPartial:
         return self
 
 
+# ---------------------------------------------------------------------------
+# outcome codecs: what a checkpoint journal line holds
+
+
+def _journaled(cls) -> list:
+    """The fields a journal line carries: every field equality compares,
+    plus the uncompared ``evidence`` chain.
+
+    So a report's :class:`~repro.core.classifier.Classification` keeps
+    ``is_miner``, ``family``, ``method``, ``confidence`` and ``features``;
+    its decision-record fields (``record``, ``checks``, ``backend``,
+    ``function_hashes``) are not journaled — they exist to render
+    evidence, which the report already carries, and nothing reads them
+    after detection.
+    """
+    return [f.name for f in fields(cls) if f.compare or f.name == "evidence"]
+
+
+def _encode(value) -> dict:
+    return {
+        name: _CODECS.get(name, _PLAIN)[0](getattr(value, name))
+        for name in _journaled(type(value))
+    }
+
+
+def _exact_keys(payload: dict, names, what: str) -> dict:
+    """``payload`` when its keys are exactly ``names``; raises otherwise, so
+    a malformed journal line reads as undecodable."""
+    if set(payload) != set(names):
+        raise ValueError(f"{what} keys {sorted(payload)} != {sorted(names)}")
+    return payload
+
+
+def _decode(cls, payload: dict):
+    """Rebuilds a ``cls`` from :func:`_encode`'s dict."""
+    names = _journaled(cls)
+    _exact_keys(payload, names, cls.__name__)
+    return cls(**{name: _CODECS.get(name, _PLAIN)[1](payload[name]) for name in names})
+
+
+def _optional(encode: Callable, decode: Callable) -> tuple:
+    return (
+        lambda value: None if value is None else encode(value),
+        lambda payload: None if payload is None else decode(payload),
+    )
+
+
+_PLAIN = (lambda value: value, lambda payload: payload)
+_LISTED = (list, tuple)
+#: field name → ``(encode, decode)``, across every journaled class, for
+#: each field that is not a JSON scalar; the ledger and evidence reuse
+#: their own codecs
+_CODECS = {
+    "labels": _LISTED,
+    "nocoin_rule_labels": _LISTED,
+    "websocket_urls": _LISTED,
+    "name_hints": _LISTED,
+    "ledger": (
+        FaultLedger.to_dict,
+        lambda payload: FaultLedger.from_dict(
+            _exact_keys(payload, FaultLedger().to_dict(), "FaultLedger")
+        ),
+    ),
+    "evidence": (
+        lambda chain: [item.to_dict() for item in chain],
+        lambda items: tuple(map(Evidence.from_dict, items)),
+    ),
+    "stage_spans": (
+        lambda spans: [[name, list(map(list, tags))] for name, tags in spans],
+        lambda spans: tuple((name, tuple(map(tuple, tags))) for name, tags in spans),
+    ),
+    "report": (_encode, functools.partial(_decode, DetectionReport)),
+    "miner": _optional(_encode, functools.partial(_decode, Classification)),
+    "features": _optional(_encode, functools.partial(_decode, WasmFeatures)),
+}
+
+
+class _JournalCodec:
+    """``to_dict``/``from_dict`` of a per-site outcome, the checkpoint
+    journal's payload."""
+
+    def to_dict(self) -> dict:
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        return _decode(cls, payload)
+
+
 @dataclass(frozen=True)
-class ZgrabSiteOutcome:
+class ZgrabSiteOutcome(_JournalCodec):
     """One site's zgrab verdict plus its fault accounting.
 
     This is the checkpoint unit: order-independent and additive, so a
@@ -274,17 +377,13 @@ class ZgrabSiteOutcome:
 class ZgrabCampaign:
     """Runs the Section 3.1 pipeline over a population."""
 
-    population: WebPopulation
+    population: Population
     detector: PageDetector = field(default_factory=PageDetector)
     #: retry/breaker/deadline settings for the fetcher; ``None`` keeps the
     #: legacy single-attempt behaviour
     resilience: Optional[ResiliencePolicy] = None
     #: observability hook (spans + stage histograms); defaults to disabled
     obs: Obs = field(default=NULL_OBS, repr=False)
-
-    def scan_sites(self, sites: Iterable[SiteSpec], scan_index: int = 0) -> ZgrabScanPartial:
-        """Fetch-and-match a subset of sites; returns the additive tallies."""
-        return self.scan_sites_indexed(enumerate(sites), scan_index)
 
     def scan_sites_indexed(
         self,
@@ -326,6 +425,7 @@ class ZgrabCampaign:
         _visit_journaled(
             self.obs, present(indexed_sites), journal, progress, partial.fault_ledger,
             lambda site: self._scan_site(fetcher, site), settle,
+            ZgrabSiteOutcome.from_dict,
         )
         return partial
 
@@ -352,7 +452,7 @@ class ZgrabCampaign:
         scan_index: int,
     ) -> None:
         partial.domains_probed += 1
-        stratum = getattr(site, "stratum", "")
+        stratum = site.stratum
         if stratum:
             partial.stratum_probed[stratum] += 1
         if outcome.failed:
@@ -381,15 +481,9 @@ class ZgrabCampaign:
                 status="error" if outcome.failed else "ok",
                 nocoin_hit=outcome.nocoin_hit,
                 stratum=stratum,
-                evidence=getattr(outcome, "evidence", ()),
+                evidence=outcome.evidence,
             )
-            partial.verdicts.append((index, record))
-            add_verdict(
-                partial.graph,
-                record,
-                site=site,
-                includers=_includers_for(self.population, site),
-            )
+            _file_verdict(partial, index, self.population, site, record)
 
     def finalize_scan(self, partial: ZgrabScanPartial, scan_index: int = 0) -> ZgrabScanResult:
         """Turn (possibly merged) tallies into the Figure-2 result row."""
@@ -409,21 +503,9 @@ class ZgrabCampaign:
             paper_total_domains=spec.paper_total_domains,
             fetch_failures=partial.fetch_failures,
             stratum_rows=_stratum_rows(self.population, partial),
-            verdicts=tuple(
-                verdict
-                for _, verdict in sorted(partial.verdicts, key=lambda item: item[0])
-            ),
+            verdicts=_population_order(partial.verdicts),
             graph=partial.graph if partial.graph else None,
         )
-
-    def scan(self, scan_index: int = 0) -> ZgrabScanResult:
-        """Scan ``0`` (first date) or ``1`` (second date, after churn)."""
-        return self.finalize_scan(
-            self.scan_sites(self.population.sites, scan_index), scan_index
-        )
-
-    def both_scans(self) -> list[ZgrabScanResult]:
-        return [self.scan(0), self.scan(1)]
 
 
 @dataclass
@@ -492,7 +574,7 @@ class ChromeRunPartial:
 
 
 @dataclass(frozen=True)
-class ChromeSiteOutcome:
+class ChromeSiteOutcome(_JournalCodec):
     """One site's Chrome-visit detection report plus fault accounting."""
 
     report: DetectionReport
@@ -507,16 +589,13 @@ class ChromeCampaign:
     """Runs the Section 3.2 pipeline over a population."""
 
     population: WebPopulation
+    #: the page detector ``run_sites`` applies; a campaign that only
+    #: finalizes merged partials needs none
     detector: Optional[PageDetector] = None
     browser_config: BrowserConfig = field(default_factory=BrowserConfig)
     rulespace: RuleSpaceEngine = field(default_factory=RuleSpaceEngine)
     #: observability hook (spans + stage histograms); defaults to disabled
     obs: Obs = field(default=NULL_OBS, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.detector is None:
-            self.detector = PageDetector()
-            self.detector.classifier.database = build_reference_database()
 
     def run_sites(
         self,
@@ -551,6 +630,7 @@ class ChromeCampaign:
         _visit_journaled(
             self.obs, indexed_sites, journal, progress, partial.fault_ledger,
             lambda site: self._visit_site(browser, site), settle,
+            ChromeSiteOutcome.from_dict,
         )
         return partial
 
@@ -623,19 +703,13 @@ class ChromeCampaign:
                 confidence=(
                     report.miner.confidence if report.miner is not None else 0.0
                 ),
-                evidence=tuple(getattr(report, "evidence", ())),
+                evidence=report.evidence,
             )
-            partial.verdicts.append((index, record))
-            add_verdict(
-                partial.graph,
-                record,
-                site=site,
-                includers=_includers_for(self.population, site),
-            )
+            _file_verdict(partial, index, self.population, site, record)
 
     def finalize_run(self, partial: ChromeRunPartial) -> ChromeCampaignResult:
         """Assemble Tables 1–3 from (possibly merged) tallies."""
-        ordered = [report for _, report in sorted(partial.reports, key=lambda item: item[0])]
+        ordered = list(_population_order(partial.reports))
         return ChromeCampaignResult(
             dataset=self.population.spec.name,
             reports=ordered,
@@ -653,15 +727,9 @@ class ChromeCampaign:
                 partial.signature_categorized / partial.signature_total
                 if partial.signature_total else 0.0
             ),
-            verdicts=tuple(
-                verdict
-                for _, verdict in sorted(partial.verdicts, key=lambda item: item[0])
-            ),
+            verdicts=_population_order(partial.verdicts),
             graph=partial.graph if partial.graph else None,
         )
-
-    def run(self) -> ChromeCampaignResult:
-        return self.finalize_run(self.run_sites(enumerate(self.population.sites)))
 
     @staticmethod
     def _display_family(family: str) -> str:

@@ -7,23 +7,20 @@ fingerprint pipeline's findings *back into* a block list — is implemented
 here:
 
 1. run the Chrome campaign,
-2. for every signature-detected miner page, emit Adblock rules for the
-   observables a blocker can act on: the mining WebSocket endpoints and
-   the Wasm/loader URLs,
+2. for every signature-detected miner page, emit an Adblock rule for each
+   mining WebSocket endpoint host the page connected to,
 3. measure how much of the signature-detected population the augmented
-   list now covers.
+   list now covers, counting a page as covered when the list matches its
+   script URLs (the NoCoin hit) or one of its WebSocket endpoints.
 
-This quantifies both the gain (most of the gap closes) and the structural
-limit (first-party loaders on the site's own domain cannot be listed
-without blocking the site itself — the residual is the fundamental
-advantage of content-based detection).
+This quantifies how much of the NoCoin gap a list fed by fingerprint
+results closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.detector import DetectionReport
 from repro.core.nocoin import FilterList, default_nocoin_list, parse_rule
 
 
@@ -36,38 +33,22 @@ class GeneratedRules:
     """Rules distilled from one crawl's miner reports."""
 
     websocket_hosts: set[str] = field(default_factory=set)
-    third_party_script_hosts: set[str] = field(default_factory=set)
-    skipped_first_party: int = 0
 
     def to_lines(self) -> list[str]:
-        lines = [f"||{host}^" for host in sorted(self.websocket_hosts)]
-        lines += [f"||{host}^" for host in sorted(self.third_party_script_hosts)]
-        return lines
+        return [f"||{host}^" for host in sorted(self.websocket_hosts)]
 
     def __len__(self) -> int:
-        return len(self.websocket_hosts) + len(self.third_party_script_hosts)
+        return len(self.websocket_hosts)
 
 
-def generate_rules(reports, site_domains: dict[str, str]) -> GeneratedRules:
-    """Distill block rules from signature-detected miner reports.
-
-    ``site_domains`` maps report.domain → the site's own host, so
-    first-party assets (self-hosted loaders) are recognized and skipped —
-    blocking them would block the site.
-    """
+def generate_rules(reports) -> GeneratedRules:
+    """One host rule per WebSocket endpoint of the miner reports."""
     generated = GeneratedRules()
     for report in reports:
         if not report.is_miner:
             continue
-        own_host = site_domains.get(report.domain, f"www.{report.domain}").lower()
         for ws_url in report.websocket_urls:
             generated.websocket_hosts.add(_host_of(ws_url))
-        for script_url in getattr(report, "miner_script_urls", ()):  # optional detail
-            host = _host_of(script_url)
-            if host == own_host or host.endswith("." + own_host):
-                generated.skipped_first_party += 1
-            else:
-                generated.third_party_script_hosts.add(host)
     return generated
 
 

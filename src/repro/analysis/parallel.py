@@ -2,13 +2,15 @@
 
 The paper's scans cover 138M domains with zgrab and ~3.2M with instrumented
 Chrome — scale that a single-threaded loop over ``population.sites`` never
-reaches. This module partitions a :class:`~repro.internet.population.WebPopulation`
-into deterministic shards (stable hash of the domain → shard id), runs the
-campaign's per-site pipeline on each shard via a ``concurrent.futures``
-pool, and merges the per-shard partial results into output **identical to
-the sequential path**:
+reaches. This module partitions any :class:`~repro.internet.population.Population`
+into deterministic shards (its ``shard_plan``: a stable hash of each
+domain for a materialized build, contiguous index ranges for a streamed
+one), runs the campaign's per-site pipeline on each shard via a
+``concurrent.futures`` pool, and merges the per-shard partial results into
+output **identical to one pass over every site** (the loop kept in
+``tests/oracles/crawl.py``):
 
-- shard membership depends only on the domain string (stable across runs,
+- shard membership depends only on the population (stable across runs,
   processes, and site orderings),
 - the per-site work in :class:`~repro.analysis.crawl.ZgrabCampaign` /
   :class:`~repro.analysis.crawl.ChromeCampaign` is site-independent and
@@ -54,7 +56,7 @@ from repro.core.detector import PageDetector
 from repro.core.signatures import build_reference_database
 from repro.faults.checkpoint import shard_journal
 from repro.faults.resilience import ResiliencePolicy, RetryPolicy, run_with_retry
-from repro.internet.population import SiteSpec, WebPopulation
+from repro.internet.population import Population, WebPopulation
 from repro.obs.clock import get_clock
 from repro.obs.profile import NULL_OBS, Obs, make_obs
 from repro.rulespace.engine import RuleSpaceEngine
@@ -70,34 +72,7 @@ __all__ = [
     "ShardedZgrabCampaign",
     "can_fork",
     "executor_mode",
-    "partition_indices",
-    "stable_shard",
 ]
-
-
-# ---------------------------------------------------------------------------
-# sharding
-
-
-def stable_shard(domain: str, num_shards: int) -> int:
-    """Deterministic shard id for a domain.
-
-    SHA-256 based, so the assignment is stable across Python versions,
-    processes, and hash randomization — resumable pipelines depend on a
-    domain always landing in the same shard.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    digest = hashlib.sha256(domain.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % num_shards
-
-
-def partition_indices(sites: list[SiteSpec], num_shards: int) -> list[list[int]]:
-    """Population indices per shard, by stable hash of each site's domain."""
-    shards: list[list[int]] = [[] for _ in range(num_shards)]
-    for index, site in enumerate(sites):
-        shards[stable_shard(site.domain, num_shards)].append(index)
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +81,11 @@ def partition_indices(sites: list[SiteSpec], num_shards: int) -> list[list[int]]
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How a sharded campaign executes."""
+    """How a sharded campaign executes; the defaults run one shard in the
+    calling process."""
 
-    shards: int = 4
-    workers: int = 4
+    shards: int = 1
+    workers: int = 1
     mode: str = "serial"  # serial | process
     #: per-shard retries; a shard that exhausts them is dropped and
     #: recorded in the metrics
@@ -188,22 +164,8 @@ def _campaign_fingerprint(*parts: object) -> str:
     return digest.hexdigest()[:16]
 
 
-def _shard_checkpoint_identity(population, indices):
-    """Journal-fingerprint material for a shard's site assignment.
-
-    Streaming populations pin ``(population identity, index bounds)`` —
-    O(1) in the range length; materialized populations keep the legacy
-    per-domain list, byte-compatible with journals written before
-    streaming existed.
-    """
-    identity = getattr(population, "checkpoint_identity", None)
-    if identity is not None:
-        return identity(indices)
-    return [(i, population.sites[i].domain) for i in indices]
-
-
 def _run_shard(
-    population,
+    population: Population,
     shard_id: int,
     indices: list[int],
     kind: str,
@@ -231,7 +193,7 @@ def _run_shard(
             dataset,
             kind,
             shard_id,
-            _shard_checkpoint_identity(population, indices),
+            population.checkpoint_identity(indices),
             population.web.fault_plan,
             *fingerprint_parts,
         ]
@@ -271,7 +233,7 @@ def _run_shard(
 
 
 def _zgrab_shard_work(
-    population: WebPopulation,
+    population: Population,
     shard_id: int,
     indices: list[int],
     scan_index: int,
@@ -468,19 +430,11 @@ def _collect_shards(
 class _ShardedCampaignBase:
     """Shared machinery: partitioning, pool lifecycle, metrics assembly."""
 
-    population: WebPopulation
+    population: Population
     config: ParallelConfig
     obs: Obs
     #: live heartbeat reporter (``--heartbeat``); ``None`` costs nothing
     progress: Optional[object]
-
-    def _partition(self) -> list[list[int]]:
-        # streaming populations publish their own plan (contiguous index
-        # ranges, or stratified-sample chunks) so shards stay O(1)-memory
-        plan = getattr(self.population, "shard_plan", None)
-        if plan is not None:
-            return plan(self.config.shards)
-        return partition_indices(self.population.sites, self.config.shards)
 
     def _execute(
         self, shard_indices: list, attempt: Callable, kind: str
@@ -553,14 +507,13 @@ class _ShardedCampaignBase:
 
 @dataclass
 class ShardedZgrabCampaign(_ShardedCampaignBase):
-    """Shard-parallel drop-in for :class:`ZgrabCampaign`.
+    """The Section 3.1 zgrab pass over any population, sharded.
 
-    ``scan`` returns the same :class:`ZgrabScanResult` values the
-    sequential campaign produces; ``metrics`` holds the per-shard
-    measurements of the most recent scan.
+    ``scan(0)`` and ``scan(1)`` give the two scan dates' Figure-2 rows;
+    ``metrics`` holds the per-shard measurements of the most recent scan.
     """
 
-    population: WebPopulation
+    population: Population
     config: ParallelConfig = field(default_factory=ParallelConfig)
     metrics: Optional[CampaignMetrics] = None
     #: observability context; shard traces and registries merge into it
@@ -568,7 +521,7 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
     progress: Optional[object] = field(default=None, repr=False)
 
     def scan(self, scan_index: int = 0) -> ZgrabScanResult:
-        shard_indices = self._partition()
+        shard_indices = self.population.shard_plan(self.config.shards)
 
         def attempt(shard_id: int, progress) -> tuple:
             return _zgrab_shard_work(
@@ -588,10 +541,10 @@ class ShardedZgrabCampaign(_ShardedCampaignBase):
 
 @dataclass
 class ShardedChromeCampaign(_ShardedCampaignBase):
-    """Shard-parallel drop-in for :class:`ChromeCampaign`.
+    """The Section 3.2 Chrome pass over a materialized population, sharded.
 
     Each shard drives its own fresh browser, so per-page RNG (keyed by URL)
-    and page-load timing replay exactly as in the sequential run. Coinhive
+    and page-load timing replay exactly as in one unsharded pass. Coinhive
     pool state is mutated during visits; in process mode the fork gives
     every worker a copy-on-write population, so those writes stay isolated.
     """
@@ -608,7 +561,7 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
     progress: Optional[object] = field(default=None, repr=False)
 
     def run(self) -> ChromeCampaignResult:
-        shard_indices = self._partition()
+        shard_indices = self.population.shard_plan(self.config.shards)
         # built once here, before the campaign clock starts, so the shards
         # (forked workers too, copy-on-write) time only their sites
         with self.obs.span("setup", kind="chrome", dataset=self.population.spec.name):
@@ -625,9 +578,4 @@ class ShardedChromeCampaign(_ShardedCampaignBase):
         merged = ChromeRunPartial()
         for shard_id in sorted(partials):
             merged.merge(partials[shard_id])
-        finalizer = ChromeCampaign(
-            population=self.population,
-            detector=PageDetector(),  # finalize only aggregates; no detection runs
-            browser_config=self.browser_config,
-        )
-        return finalizer.finalize_run(merged)
+        return ChromeCampaign(population=self.population).finalize_run(merged)

@@ -1254,8 +1254,7 @@ def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
         "--resume-from",
         default=None,
         metavar="DIR",
-        help="checkpoint-journal directory; a rerun resumes completed sites from it "
-        "(journals are unpickled on load — use only directories this tool wrote)",
+        help="checkpoint-journal directory; a rerun resumes completed sites from it",
     )
 
 

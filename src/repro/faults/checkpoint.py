@@ -2,50 +2,47 @@
 
 Each shard writes one journal: a header line identifying the campaign
 configuration, then a line per completed site carrying the site's
-population index and its pickled per-site outcome. A shard process
-killed mid-run leaves a valid prefix (plus at most one torn final line,
-which the loader discards); on resume the shard replays the recorded
-outcomes instead of re-fetching, then continues from the first unrecorded
-site. Because per-site outcomes are additive and order-independent, the
-merged campaign result is bit-identical to an uninterrupted run.
+population index and its per-site outcome as a plain dict. A shard
+process killed mid-run leaves a valid prefix (plus at most one torn final
+line, which the loader discards); on resume the shard replays the
+recorded outcomes instead of re-fetching, then continues from the first
+unrecorded site. Because per-site outcomes are additive and
+order-independent, the merged campaign result is bit-identical to an
+uninterrupted run.
 
 Format: one JSON object per line. The first line is the header,
-``{"v": 1, "fp": <fingerprint>}``; every following line is
-``{"i": <index>, "d": <base64 pickle>}``. JSON framing makes torn-write
-detection trivial; pickle carries arbitrary outcome dataclasses
-(detection reports included) without a parallel serialization schema.
+``{"v": 2, "fp": <fingerprint>}``; every following line is
+``{"i": <index>, "d": <outcome dict>}``. JSON framing makes torn-write
+detection trivial. The campaign owns the outcome schema: it records
+``outcome.to_dict()`` and hands :meth:`CheckpointJournal.load` the
+matching ``from_dict``, so a journal line is data, never code. A line
+whose ``d`` the decoder rejects counts as undecodable, like a torn one.
 
 The fingerprint pins the journal to one campaign configuration (dataset,
 seed, scale, fault plan, shard partition — see
 ``repro.analysis.parallel``). A journal whose header does not match the
-resuming run is *stale* — written under a different configuration — and
-is discarded wholesale rather than replayed: its sites re-run, and the
-first ``record()`` truncates the file under the new header. Without this
-check, resuming with, say, a different seed would silently splice the old
-run's outcomes into the new run's results.
+resuming run — another fingerprint, or another format version — is
+*stale* and is discarded wholesale rather than replayed: its sites
+re-run, and the first ``record()`` truncates the file under the new
+header. Without this check, resuming with, say, a different seed would
+silently splice the old run's outcomes into the new run's results.
+Version-1 journals, whose payloads were serialized Python objects, are
+stale under this rule: their sites re-run and no payload is decoded.
 
 The journal deliberately stays outside the versioned-JSONL artifact
 contract of :mod:`repro.obs.artifact`: it is an append-only recovery log,
 not a run artifact. A stale fingerprint discards it instead of raising,
-a torn final line is expected and dropped instead of being an error, and
-its records carry a pickle payload rather than a ``to_dict`` schema.
-
-.. warning::
-   ``load()`` unpickles journal contents. Only point ``--resume-from``
-   (or ``checkpoint_dir``) at directories this tool wrote and that you
-   trust; unpickling data of unknown origin can execute arbitrary code.
+and a torn final line is expected and dropped instead of being an error.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -72,12 +69,15 @@ class CheckpointJournal:
     def __post_init__(self) -> None:
         self.path = Path(self.path)
 
-    def load(self) -> dict[int, object]:
-        """Completed ``index → outcome``; drops at most a torn tail.
+    def load(self, decode: Callable[[dict], object] = dict) -> dict[int, object]:
+        """Completed ``index → decode(payload)``; drops at most a torn tail.
 
-        A missing, header-less, or fingerprint-mismatched journal loads
-        empty (and is truncated by the next ``record()``). Corruption
-        before the final line raises :class:`CheckpointCorruptError`.
+        ``decode`` turns a line's payload dict back into an outcome and
+        raises on one it does not recognize; the default returns the
+        dict. A missing, header-less, or fingerprint-mismatched journal
+        loads empty (and is truncated by the next ``record()``). An
+        undecodable line before the final line raises
+        :class:`CheckpointCorruptError`.
         """
         if not self.path.exists():
             return {}
@@ -94,7 +94,10 @@ class CheckpointJournal:
             try:
                 record = json.loads(line)
                 index = int(record["i"])
-                outcome = pickle.loads(base64.b64decode(record["d"]))
+                payload = record["d"]
+                if not isinstance(payload, dict):
+                    raise TypeError(f"payload is {type(payload).__name__}, not a dict")
+                outcome = decode(payload)
             except Exception as exc:
                 if any(later.strip() for later in body[position + 1:]):
                     raise CheckpointCorruptError(
@@ -118,9 +121,12 @@ class CheckpointJournal:
         except Exception:
             return False  # torn or foreign header: treat the file as stale
 
-    def record(self, index: int, outcome: object) -> None:
-        """Append one completed site; flushed so a kill loses at most the
-        lines still in the OS page cache (which the loader tolerates)."""
+    def record(self, index: int, payload: dict) -> None:
+        """Append one completed site's outcome dict; flushed so a kill
+        loses at most the lines still in the OS page cache (which the
+        loader tolerates)."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"journal payloads are dicts, not {type(payload).__name__}")
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fresh = (
@@ -134,7 +140,6 @@ class CheckpointJournal:
                     json.dumps({"v": JOURNAL_VERSION, "fp": self.fingerprint}) + "\n"
                 )
                 self._stale = False
-        payload = base64.b64encode(pickle.dumps(outcome)).decode("ascii")
         self._handle.write(json.dumps({"i": index, "d": payload}) + "\n")
         self._handle.flush()
 

@@ -105,7 +105,7 @@ def add_verdict(
                     key,
                     blocked="yes" if record.nocoin_hit else "no",
                 )
-        if site is not None and getattr(site, "role", ""):
+        if site is not None and site.role:
             graph.add_node("domain", key, role=site.role)
 
     if record.stratum:

@@ -29,8 +29,9 @@ Site roles:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.difficulty import DifficultyAdjuster
@@ -239,18 +240,76 @@ class SiteSpec:
     rank: int = 0
 
 
+@runtime_checkable
+class Population(Protocol):
+    """What a campaign reads from a population: satisfied by the
+    materialized :class:`WebPopulation` and by the index-addressable
+    :class:`~repro.internet.streaming.StreamingPopulation`."""
+
+    spec: DatasetSpec
+    sites: Sequence[SiteSpec]
+    includer_layer: IncluderLayer
+    #: rank strata the sites were drawn in; empty when unstratified
+    strata: tuple
+
+    @property
+    def web(self) -> SyntheticWeb: ...
+
+    def stratum_sizes(self) -> dict: ...  # stratum name → its rank range's size
+
+    def shard_plan(self, num_shards: int) -> Sequence[Sequence[int]]: ...
+
+    def checkpoint_identity(self, indices: Sequence[int]) -> object: ...
+
+    def attach_fault_plan(self, plan) -> "Population": ...
+
+
+def stable_shard(domain: str, num_shards: int) -> int:
+    """Deterministic shard id for a domain.
+
+    SHA-256 based, so the assignment is stable across Python versions,
+    processes, and hash randomization — resumable pipelines depend on a
+    domain always landing in the same shard.
+    """
+    if num_shards <= 0:
+        raise ValueError("num_shards must be positive")
+    digest = hashlib.sha256(domain.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % num_shards
+
+
+def partition_indices(sites: Sequence[SiteSpec], num_shards: int) -> list[list[int]]:
+    """Population indices per shard, by stable hash of each site's domain."""
+    shards: list[list[int]] = [[] for _ in range(num_shards)]
+    for index, site in enumerate(sites):
+        shards[stable_shard(site.domain, num_shards)].append(index)
+    return shards
+
+
 @dataclass
 class WebPopulation:
     """A built population: sites registered on a synthetic web."""
 
     spec: DatasetSpec
     web: SyntheticWeb
+    #: seeded third-party script-inclusion edge layer
+    includer_layer: IncluderLayer
     sites: list = field(default_factory=list)
     behavior_registry: dict = field(default_factory=dict)
     coinhive: Optional[CoinhiveService] = None
     scale: float = 1.0
-    #: seeded third-party script-inclusion edge layer (None pre-PR-10 runs)
-    includer_layer: Optional[IncluderLayer] = None
+    strata = ()  # a materialized build draws no rank strata
+
+    def stratum_sizes(self) -> dict:
+        return {}
+
+    def shard_plan(self, num_shards: int) -> list[list[int]]:
+        """Shards by stable hash of each site's domain."""
+        return partition_indices(self.sites, num_shards)
+
+    def checkpoint_identity(self, indices: Sequence[int]) -> list:
+        """The shard's ``(index, domain)`` pairs, as journals have always
+        been fingerprinted."""
+        return [(i, self.sites[i].domain) for i in indices]
 
     def domains(self) -> list:
         return [site.domain for site in self.sites]
@@ -487,8 +546,7 @@ def _materialize(site: SiteSpec, spec: DatasetSpec, population: WebPopulation, r
 
     # third-party includer tags: keyed by (seed, dataset, domain) only, so
     # the shared population rng is never consumed here
-    if population.includer_layer is not None:
-        static_tags.extend(population.includer_layer.tags_for(site))
+    static_tags.extend(population.includer_layer.tags_for(site))
 
     if dynamic_tags:
         loader_url = f"{scheme}://{host}/js/loader.js"

@@ -332,10 +332,10 @@ class StreamingPopulation:
     """An index-addressable population: site *i* ≡ f(seed, dataset, *i*).
 
     Drop-in for :class:`~repro.internet.population.WebPopulation` on the
-    zgrab path: exposes ``spec``/``sites``/``web``/``attach_fault_plan``
-    plus the streaming-only hooks the campaign layer discovers via
-    ``getattr`` (``shard_plan``, ``checkpoint_identity``, ``strata``,
-    ``stratum_sizes``).
+    zgrab path: both satisfy the
+    :class:`~repro.internet.population.Population` protocol, here with
+    contiguous-range ``shard_plan``, O(1) ``checkpoint_identity`` and
+    rank ``strata``.
     """
 
     def __init__(
@@ -359,9 +359,6 @@ class StreamingPopulation:
             tuple(strata) if strata is not None else default_strata(self.spec)
         )
         self.sample_per_stratum = int(sample_per_stratum)
-        self.scale = 1.0
-        self.coinhive = None
-        self.behavior_registry: dict = {}
         self.fault_plan = None
         self.includer_layer = layer_for_spec(self.spec, self.seed)
         self.sites = _LazySites(self, cache=site_cache)

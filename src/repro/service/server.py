@@ -48,6 +48,7 @@ from repro.core.dynamic import DynamicMinerDetector
 from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.resilience import BreakerRegistry, ResiliencePolicy
+from repro.internet.population import Population
 from repro.obs.evidence import Evidence, VerdictRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import AdmissionQueue, ServicePolicy, TokenBucket
@@ -104,7 +105,7 @@ class ServiceResponse:
 class VerdictServer:
     """A single-worker verdict service over one population's web."""
 
-    population: object
+    population: Population
     policy: ServicePolicy = field(default_factory=ServicePolicy)
     store: Optional[BundleStore] = None
     clock: SimClock = field(default_factory=SimClock)
@@ -136,7 +137,7 @@ class VerdictServer:
         self._breakers = BreakerRegistry(ledger=self.ledger)
         if self.fault_plan is not None:
             self.population.attach_fault_plan(self.fault_plan)
-        self._dataset = getattr(getattr(self.population, "spec", None), "name", "service")
+        self._dataset = self.population.spec.name
         self._last_tier = TIER_FULL
 
     # -- admission ----------------------------------------------------------------

@@ -51,7 +51,12 @@ per-byte ``randbytes`` and the name-by-name ``derive_seed`` are
 :mod:`tests.oracles.rng`, checked by ``tests/test_sim_rng.py``; and the
 byte-at-a-time varint and transaction encoder is
 :mod:`tests.oracles.blockchain`, checked by
-``tests/test_blockchain_block.py``.
+``tests/test_blockchain_block.py``. The one-pass crawl loops every crawl
+ran before the sharded executor became the only campaign API are
+:mod:`tests.oracles.crawl` (``SequentialZgrabCampaign``,
+``SequentialChromeCampaign``), checked against the executor by
+``tests/test_parallel_executor.py``, ``tests/test_parallel_chrome.py``,
+``tests/test_crawl_driver.py`` and the chaos suite.
 """
 
 from __future__ import annotations

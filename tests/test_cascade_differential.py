@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.crawl import ChromeCampaign
 from repro.core import fastpath
 from repro.core.classifier import MinerClassifier
 from repro.core.detector import DEGRADATION_TIERS, PageDetector
@@ -43,6 +42,7 @@ from repro.wasm.obfuscate import pad_dead_code, strip_names
 from repro.web.browser import PageResult
 from repro.web.websocket import CapturedFrame
 from tests.oracles import ReferencePageDetector
+from tests.oracles.crawl import SequentialChromeCampaign
 
 # ---------------------------------------------------------------------------
 # inputs
@@ -254,7 +254,7 @@ def _chrome_verdicts(detector_factory) -> str:
     with use_clock(TickClock()):
         fastpath.reset_shared_cache()
         population = build_population("alexa", seed=11, scale=0.05)
-        campaign = ChromeCampaign(
+        campaign = SequentialChromeCampaign(
             population=population,
             detector=detector_factory(
                 nocoin=default_nocoin_list(),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
+from repro.analysis.crawl import ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
     ShardedChromeCampaign,
@@ -27,6 +27,7 @@ from repro.faults.ledger import FaultLedger
 from repro.faults.plan import FaultKind, FaultPlan, build_fault_plan
 from repro.faults.resilience import BreakerPolicy, ResiliencePolicy, RetryPolicy
 from repro.internet.population import build_population
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 pytestmark = pytest.mark.chaos
 
@@ -68,7 +69,7 @@ class TestCampaignsNeverCrash:
     @pytest.mark.parametrize("profile", ["mild", "heavy"])
     def test_zgrab_both_scans_complete(self, profile):
         population = _chaos_population(profile)
-        campaign = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
+        campaign = SequentialZgrabCampaign(population=population, resilience=ResiliencePolicy())
         partial = campaign.scan_sites(population.sites, 0)
         result = campaign.finalize_scan(partial, 0)
         assert result.domains_probed == len(population.sites)
@@ -78,7 +79,7 @@ class TestCampaignsNeverCrash:
     @pytest.mark.parametrize("profile", ["mild", "heavy"])
     def test_chrome_run_completes(self, profile):
         population = _chaos_population(profile)
-        campaign = ChromeCampaign(population=population)
+        campaign = SequentialChromeCampaign(population=population)
         partial = campaign.run_sites(enumerate(population.sites))
         result = campaign.finalize_run(partial)
         assert len(result.reports) == len(population.sites)
@@ -86,7 +87,7 @@ class TestCampaignsNeverCrash:
 
     def test_heavy_recovers_some_and_loses_some(self):
         population = _chaos_population("heavy")
-        campaign = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
+        campaign = SequentialZgrabCampaign(population=population, resilience=ResiliencePolicy())
         ledger = campaign.scan_sites(population.sites, 0).fault_ledger
         assert ledger.total_recovered > 0          # retries paid off somewhere
         assert sum(ledger.unrecovered.values()) > 0  # and chaos still hurt
@@ -104,7 +105,7 @@ class TestExactAccounting:
             breaker=BreakerPolicy(failure_threshold=3),
             deadline=1000.0,
         )
-        campaign = ZgrabCampaign(population=population, resilience=resilience)
+        campaign = SequentialZgrabCampaign(population=population, resilience=resilience)
         partial = campaign.scan_sites(population.sites, 0)
         n = len(population.sites)
         ledger = partial.fault_ledger
@@ -123,7 +124,7 @@ class TestExactAccounting:
         resilience = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0), breaker=None
         )
-        campaign = ZgrabCampaign(population=population, resilience=resilience)
+        campaign = SequentialZgrabCampaign(population=population, resilience=resilience)
         ledger = campaign.scan_sites(population.sites, 0).fault_ledger
         n = len(population.sites)
         assert ledger.injected["dns"] == n     # exactly one attempt per domain
@@ -142,7 +143,7 @@ class TestExactAccounting:
             breaker=BreakerPolicy(failure_threshold=5),
             deadline=1000.0,
         )
-        campaign = ZgrabCampaign(population=population, resilience=resilience)
+        campaign = SequentialZgrabCampaign(population=population, resilience=resilience)
         partial = campaign.scan_sites(population.sites, 0)
         ledger = partial.fault_ledger
         n = len(population.sites)
@@ -156,7 +157,7 @@ class TestExactAccounting:
         # flap-recovered fetches then hit the organic population, so the
         # scan's outcomes match a no-chaos scan exactly
         clean_population = build_population("alexa", seed=SEED, scale=SCALE)
-        clean = ZgrabCampaign(population=clean_population).scan_sites(
+        clean = SequentialZgrabCampaign(population=clean_population).scan_sites(
             clean_population.sites, 0
         )
         assert partial.nocoin_domains == clean.nocoin_domains
@@ -167,7 +168,7 @@ class TestShardedEqualsSequential:
     @pytest.fixture(scope="class")
     def sequential(self):
         population = _chaos_population("heavy")
-        campaign = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
+        campaign = SequentialZgrabCampaign(population=population, resilience=ResiliencePolicy())
         partial = campaign.scan_sites(population.sites, 0)
         return campaign.finalize_scan(partial, 0), partial.fault_ledger
 
@@ -186,7 +187,7 @@ class TestShardedEqualsSequential:
     @pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
     def test_chrome_sharded_equals_sequential(self):
         population = _chaos_population("mild")
-        campaign = ChromeCampaign(population=population)
+        campaign = SequentialChromeCampaign(population=population)
         seq_partial = campaign.run_sites(enumerate(population.sites))
         seq_result = campaign.finalize_run(seq_partial)
 
@@ -216,7 +217,7 @@ class TestStreamingUnderChaos:
     @pytest.mark.parametrize("profile", ["mild", "heavy"])
     def test_streamed_scan_completes_and_balances(self, profile):
         population = self._streaming_population(profile)
-        campaign = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
+        campaign = SequentialZgrabCampaign(population=population, resilience=ResiliencePolicy())
         partial = campaign.scan_sites(population.sites, 0)
         assert campaign.finalize_scan(partial, 0).domains_probed == 220
         assert partial.fault_ledger.balanced()
@@ -225,7 +226,7 @@ class TestStreamingUnderChaos:
     @pytest.mark.parametrize("mode,shards,workers", SHARDED_MODES)
     def test_streamed_sharded_equals_sequential(self, mode, shards, workers):
         population = self._streaming_population("heavy")
-        sequential = ZgrabCampaign(population=population, resilience=ResiliencePolicy())
+        sequential = SequentialZgrabCampaign(population=population, resilience=ResiliencePolicy())
         seq_partial = sequential.scan_sites(population.sites, 0)
         seq_result = sequential.finalize_scan(seq_partial, 0)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.parallel import can_fork
 from repro.analysis.runner import (
     ObservedRun,
@@ -25,6 +24,7 @@ from repro.cli import main
 from repro.internet.population import build_population
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.ledger import load_run
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 SEED = 7
 SCALE = 0.03
@@ -115,10 +115,10 @@ def test_default_crawl_runs_the_serial_executor():
 
     assert crawl.zgrab_metrics.mode == "serial"
     assert crawl.chrome_metrics.mode == "serial"
-    zgrab_reference = ZgrabCampaign(
+    zgrab_reference = SequentialZgrabCampaign(
         population=build_population("alexa", seed=SEED, scale=SCALE)
     ).both_scans()
-    chrome_reference = ChromeCampaign(
+    chrome_reference = SequentialChromeCampaign(
         population=build_population("alexa", seed=SEED, scale=SCALE)
     ).run()
     assert crawl.scans == zgrab_reference

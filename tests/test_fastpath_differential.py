@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.parallel import ParallelConfig, ShardedZgrabCampaign
 from repro.core import fastpath
 from repro.core.detector import PageDetector
@@ -43,6 +42,7 @@ from repro.obs.profile import make_obs
 from repro.web.html import extract_scripts, scan_scripts
 from tests.oracles import reference_paths
 from tests.oracles import web as web_oracle
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 # ---------------------------------------------------------------------------
 # rule / subject strategies — deliberately tiny alphabets so patterns and
@@ -288,8 +288,8 @@ def _materialized_campaign():
         fastpath.reset_shared_cache()
         population = build_population("alexa", seed=11, scale=0.05)
         obs = make_obs(prefix="crawl")
-        scans = ZgrabCampaign(population=population, obs=obs).both_scans()
-        chrome = ChromeCampaign(population=population, obs=obs).run()
+        scans = SequentialZgrabCampaign(population=population, obs=obs).both_scans()
+        chrome = SequentialChromeCampaign(population=population, obs=obs).run()
         verdicts = [v for scan in scans for v in scan.verdicts]
         verdicts.extend(chrome.verdicts)
         return verdicts_to_jsonl(verdicts), obs.registry.to_dict()

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.reporting import render_table
 from repro.core.detector import cross_tabulate
 from repro.internet.population import build_population
 from repro.sim.clock import utc_timestamp
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 SEED = 2018
 SCALE = 0.05
@@ -32,7 +32,7 @@ def golden_populations():
 @pytest.fixture(scope="session")
 def golden_zgrab_scans(golden_populations):
     return {
-        name: ZgrabCampaign(population=golden_populations[name]).both_scans()
+        name: SequentialZgrabCampaign(population=golden_populations[name]).both_scans()
         for name in DATASETS
     }
 
@@ -40,7 +40,7 @@ def golden_zgrab_scans(golden_populations):
 @pytest.fixture(scope="session")
 def golden_chrome_results(golden_populations):
     return {
-        name: ChromeCampaign(population=golden_populations[name]).run()
+        name: SequentialChromeCampaign(population=golden_populations[name]).run()
         for name in ("alexa", "org")
     }
 

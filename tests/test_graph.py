@@ -167,9 +167,9 @@ class TestIncluderLayer:
 
 class TestUnobservedRuns:
     def test_bare_campaign_builds_no_graph(self):
-        from repro.analysis.crawl import ZgrabCampaign
+        from tests.oracles.crawl import SequentialZgrabCampaign
 
         population = build_population("com", seed=5, scale=0.001)
-        result = ZgrabCampaign(population=population).scan(0)
+        result = SequentialZgrabCampaign(population=population).scan(0)
         assert result.graph is None
         assert result.verdicts == ()

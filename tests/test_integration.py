@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.network import NetworkSimConfig, simulate_network
 from repro.analysis.shortlink import ShortLinkStudy
 from repro.blockchain.block import set_blob_nonce
@@ -18,6 +17,7 @@ from repro.sim.clock import utc_timestamp
 from repro.web.browser import HeadlessBrowser
 from repro.web.http import SyntheticWeb
 from repro.web.scripts import inline_key
+from tests.oracles.crawl import SequentialChromeCampaign, SequentialZgrabCampaign
 
 
 class TestMinerEndToEnd:
@@ -101,13 +101,13 @@ class TestCrawlConsistency:
     """zgrab and Chrome views of the same population must relate correctly."""
 
     def test_zgrab_subset_of_chrome_nocoin(self, alexa_population):
-        zgrab = ZgrabCampaign(population=alexa_population).scan(0)
-        chrome = ChromeCampaign(population=alexa_population).run()
+        zgrab = SequentialZgrabCampaign(population=alexa_population).scan(0)
+        chrome = SequentialChromeCampaign(population=alexa_population).run()
         # Chrome (http + executed JS) always sees at least the TLS/static hits
         assert chrome.cross_tab.nocoin_hits >= zgrab.nocoin_domains
 
     def test_wasm_signatures_beat_nocoin(self, alexa_population):
-        chrome = ChromeCampaign(population=alexa_population).run()
+        chrome = SequentialChromeCampaign(population=alexa_population).run()
         tab = chrome.cross_tab
         assert tab.wasm_miner_hits > tab.miners_blocked_by_nocoin
         assert tab.miners_missed_by_nocoin + tab.miners_blocked_by_nocoin == tab.wasm_miner_hits

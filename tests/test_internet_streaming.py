@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.internet.domains import DomainGenerator, index_of_domain, indexed_domain
-from repro.internet.population import DATASETS, build_population
+from repro.internet.population import DATASETS, Population, build_population
 from repro.internet.streaming import (
     RankStratum,
     StreamingPopulation,
@@ -373,3 +373,13 @@ class TestLegacyPopulationUntouched:
         for site in population.sites:
             assert site.stratum == ""
             assert site.rank == 0
+
+
+def test_both_generators_satisfy_the_population_protocol():
+    """Campaigns read populations through ``Population``; both generators
+    declare every member of it."""
+    built = build_population("alexa", seed=42, scale=0.02)
+    streamed = _make("com", 3, 1000)
+    assert isinstance(built, Population) and isinstance(streamed, Population)
+    assert built.strata == () and built.stratum_sizes() == {}
+    assert streamed.strata and sum(streamed.stratum_sizes().values()) == 1000

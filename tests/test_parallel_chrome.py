@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.crawl import ChromeCampaign
 from repro.analysis.parallel import ParallelConfig, ShardedChromeCampaign, can_fork
 from repro.internet.population import build_population
+from tests.oracles.crawl import SequentialChromeCampaign
 
 SCALE = 0.04
 SEED = 2018
@@ -21,11 +22,11 @@ needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start met
 
 @pytest.fixture(scope="module")
 def sequential():
-    """Sequential ChromeCampaign results for both Chrome datasets."""
+    """Sequential-oracle Chrome results for both Chrome datasets."""
     results = {}
     for dataset in ("alexa", "org"):
         population = build_population(dataset, seed=SEED, scale=SCALE)
-        results[dataset] = ChromeCampaign(population=population).run()
+        results[dataset] = SequentialChromeCampaign(population=population).run()
     return results
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crawl import ChromeCampaign, ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
     ShardedChromeCampaign,
@@ -20,6 +19,7 @@ from repro.analysis.parallel import (
 from repro.internet.population import build_population
 from repro.sim.rng import RngStream
 from repro.web.browser import HeadlessBrowser
+from tests.oracles.crawl import SequentialZgrabCampaign
 
 needs_fork = pytest.mark.skipif(not can_fork(), reason="needs the fork start method")
 
@@ -39,7 +39,7 @@ class TestZgrabDeterminism:
         assert results[0] == results[1] == results[2]
 
     def test_shard_count_invariance(self, population):
-        sequential = ZgrabCampaign(population=population).scan(0)
+        sequential = SequentialZgrabCampaign(population=population).scan(0)
         for shards in (2, 5, 8):
             config = ParallelConfig(shards=shards, workers=1, mode="serial")
             assert ShardedZgrabCampaign(population=population, config=config).scan(0) == sequential

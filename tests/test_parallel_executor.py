@@ -2,24 +2,22 @@
 
 The contract under test: for any population and any shard/worker/mode
 configuration, the sharded scan merges to results exactly equal to the
-sequential :meth:`ZgrabCampaign.scan` output — counts, script shares, and
-failure tallies included.
+one-pass oracle's (:class:`tests.oracles.crawl.SequentialZgrabCampaign`)
+— counts, script shares, and failure tallies included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crawl import ZgrabCampaign
 from repro.analysis.parallel import (
     ParallelConfig,
     ShardedZgrabCampaign,
     can_fork,
-    partition_indices,
-    stable_shard,
 )
 from repro.faults.resilience import RetryPolicy, run_with_retry
-from repro.internet.population import build_population
+from repro.internet.population import build_population, partition_indices, stable_shard
+from tests.oracles.crawl import SequentialZgrabCampaign
 
 try:
     from hypothesis import given, settings
@@ -115,7 +113,7 @@ class TestShardedEqualsSequential:
         built = []
         for dataset, seed, scale in self.POPULATIONS:
             population = build_population(dataset, seed=seed, scale=scale)
-            campaign = ZgrabCampaign(population=population)
+            campaign = SequentialZgrabCampaign(population=population)
             built.append((population, [campaign.scan(0), campaign.scan(1)]))
         return built
 
@@ -180,7 +178,7 @@ class TestShardMetrics:
         assert metrics.total_sites == len(campaign.population.sites)
 
     def test_tallies_match_result(self, campaign):
-        sequential = ZgrabCampaign(population=campaign.population).scan(0)
+        sequential = SequentialZgrabCampaign(population=campaign.population).scan(0)
         assert campaign.metrics.total_probed == sequential.domains_probed
         assert campaign.metrics.total_fetch_failures == sequential.fetch_failures
         assert campaign.metrics.total_detector_hits == sequential.nocoin_domains
@@ -254,7 +252,7 @@ class TestRetry:
         assert failed.error and "poisoned" in failed.error
         # the surviving shards' sites are fully covered
         surviving = sum(len(shard_indices[s]) for s in (1, 2, 3))
-        sequential_rest = ZgrabCampaign(population=population).scan_sites(
+        sequential_rest = SequentialZgrabCampaign(population=population).scan_sites(
             (population.sites[i] for s in (1, 2, 3) for i in shard_indices[s]), 0
         )
         assert result.domains_probed == sequential_rest.domains_probed <= surviving
@@ -278,7 +276,7 @@ class TestRetry:
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
         campaign = ShardedZgrabCampaign(population=population, config=config)
-        sequential = ZgrabCampaign(population=population).scan(0)
+        sequential = SequentialZgrabCampaign(population=population).scan(0)
         assert campaign.scan(0) == sequential  # retry recovered the shard
         by_id = {m.shard_id: m for m in campaign.metrics.shards}
         assert by_id[1].retries == 1

@@ -5,16 +5,27 @@ this PR (narrowed exception handling, hang/timeout and redirect budgets).
 
 from __future__ import annotations
 
+import ast
+import base64
+import json
+import os
+import pathlib
+import pickle
 import threading
 
 import pytest
 
+import repro.faults
+from repro.analysis.crawl import ChromeSiteOutcome, ZgrabSiteOutcome
+from repro.analysis.parallel import ParallelConfig, ShardedChromeCampaign, ShardedZgrabCampaign
+from repro.core.signatures import SignatureDatabase
 from repro.faults.checkpoint import (
     CheckpointCorruptError,
     CheckpointJournal,
     shard_journal,
 )
 from repro.faults.ledger import FaultLedger
+from repro.faults.plan import build_fault_plan
 from repro.faults.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -26,6 +37,9 @@ from repro.faults.resilience import (
     RetryPolicy,
     run_with_retry,
 )
+from repro.internet.population import DATASETS, build_population
+from repro.internet.streaming import StreamingPopulation, parse_strata
+from repro.obs.profile import NULL_OBS, make_obs
 from repro.web.http import FetchError, Resource, SyntheticWeb
 from repro.web.zgrab import ZgrabFetcher
 
@@ -175,21 +189,26 @@ class TestCheckpointJournal:
     def test_roundtrip(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "shard.journal")
         journal.record(3, {"x": 1})
-        journal.record(7, ("a", "b"))
+        journal.record(7, {"labels": ["a", "b"], "nested": {"ok": True}})
         journal.close()
         assert CheckpointJournal(tmp_path / "shard.journal").load() == {
             3: {"x": 1},
-            7: ("a", "b"),
+            7: {"labels": ["a", "b"], "nested": {"ok": True}},
         }
+
+    def test_record_rejects_non_dict_payloads(self, tmp_path):
+        with CheckpointJournal(tmp_path / "shard.journal") as journal:
+            with pytest.raises(TypeError):
+                journal.record(1, ("a", "b"))
 
     def test_torn_tail_is_dropped(self, tmp_path):
         path = tmp_path / "shard.journal"
         journal = CheckpointJournal(path)
-        journal.record(1, "done")
+        journal.record(1, {"done": True})
         journal.close()
         with open(path, "a") as handle:
-            handle.write('{"i": 2, "d": "truncat')  # the kill mid-write
-        assert CheckpointJournal(path).load() == {1: "done"}
+            handle.write('{"i": 2, "d": {"trunc')  # the kill mid-write
+        assert CheckpointJournal(path).load() == {1: {"done": True}}
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert CheckpointJournal(tmp_path / "absent.journal").load() == {}
@@ -200,20 +219,25 @@ class TestCheckpointJournal:
         under the new header by the next record."""
         path = tmp_path / "shard.journal"
         with CheckpointJournal(path, fingerprint="config-a") as journal:
-            journal.record(1, "from config a")
+            journal.record(1, {"from": "config a"})
         stale = CheckpointJournal(path, fingerprint="config-b")
         assert stale.load() == {}
-        stale.record(2, "from config b")
+        stale.record(2, {"from": "config b"})
         stale.close()
         assert CheckpointJournal(path, fingerprint="config-b").load() == {
-            2: "from config b"
+            2: {"from": "config b"}
         }
         assert CheckpointJournal(path, fingerprint="config-a").load() == {}
 
     def test_headerless_file_is_stale_not_replayed(self, tmp_path):
         path = tmp_path / "shard.journal"
-        path.write_text('{"i": 1, "d": "bm90IGEgcGlja2xl"}\n')
+        path.write_text('{"i": 1, "d": {"x": 1}}\n')
         assert CheckpointJournal(path).load() == {}
+
+    def test_version_1_header_is_stale(self, tmp_path):
+        path = tmp_path / "shard.journal"
+        path.write_text('{"v": 1, "fp": "abc"}\n{"i": 1, "d": {"x": 1}}\n')
+        assert CheckpointJournal(path, fingerprint="abc").load() == {}
 
     def test_mid_file_corruption_raises(self, tmp_path):
         """Append-and-flush can only tear the tail; damage before the
@@ -221,20 +245,213 @@ class TestCheckpointJournal:
         (a skipped line would merge a partial replay as complete)."""
         path = tmp_path / "shard.journal"
         journal = CheckpointJournal(path)
-        journal.record(1, "one")
-        journal.record(2, "two")
+        journal.record(1, {"n": "one"})
+        journal.record(2, {"n": "two"})
         journal.close()
         lines = path.read_text().splitlines()
-        lines[1] = '{"i": 1, "d": "gar'  # damage a non-final record
+        lines[1] = '{"i": 1, "d": {"gar'  # damage a non-final record
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointCorruptError):
             CheckpointJournal(path).load()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "version-1 payload",
+            "list",
+            "keys missing",
+            "key too many",
+            "malformed ledger",
+            "ledger without its counters",
+            "malformed evidence",
+        ],
+    )
+    def test_malformed_outcome_is_undecodable(self, tmp_path, bad):
+        """A well-framed line whose payload is not an outcome dict is
+        handled like a torn one: dropped as the tail, fatal before it."""
+        good = ZgrabSiteOutcome(nocoin_hit=True, labels=("coinhive",))
+        payload = good.to_dict()
+        payload = {
+            "version-1 payload": "gASVCwAAAAAAAACMB2Jhc2U2NJQu",
+            "list": ["failed", False],
+            "keys missing": {"failed": False},
+            "key too many": {**payload, "extra": 1},
+            "malformed ledger": {**payload, "ledger": "x"},
+            "ledger without its counters": {**payload, "ledger": {}},
+            "malformed evidence": {**payload, "evidence": [{"verdict": "hit"}]},
+        }[bad]
+        decode = ZgrabSiteOutcome.from_dict
+        path = tmp_path / "shard.journal"
+        with CheckpointJournal(path) as journal:
+            journal.record(1, good.to_dict())
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"i": 2, "d": payload}) + "\n")
+        assert CheckpointJournal(path).load(decode) == {1: good}
+        with CheckpointJournal(path) as journal:
+            journal.record(3, good.to_dict())
+        with pytest.raises(CheckpointCorruptError):
+            CheckpointJournal(path).load(decode)
 
     def test_shard_journal_naming(self, tmp_path):
         journal = shard_journal(str(tmp_path), "alexa-zgrab0", 7, fingerprint="abc")
         assert journal.path.name == "alexa-zgrab0-shard0007.journal"
         assert journal.fingerprint == "abc"
         assert shard_journal(None, "alexa-zgrab0", 7) is None
+
+
+# ---------------------------------------------------------------------------
+# journal payloads: typed outcome codecs, never code
+
+
+class _PlantsMarker:
+    """Deserializing this with ``pickle`` calls ``os.mkdir(path)``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _as_version_1(journal_path, marker) -> None:
+    """Rewrite a journal the way version 1 wrote it — base64 pickles as
+    payloads — with the first payload planting ``marker`` when loaded."""
+    lines = journal_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    rewritten = [json.dumps({"v": 1, "fp": header["fp"]})]
+    for position, line in enumerate(lines[1:]):
+        record = json.loads(line)
+        payload = _PlantsMarker(marker) if position == 0 else record["d"]
+        data = base64.b64encode(pickle.dumps(payload)).decode("ascii")
+        rewritten.append(json.dumps({"i": record["i"], "d": data}))
+    journal_path.write_text("\n".join(rewritten) + "\n")
+
+
+class TestJournalHostility:
+    def test_version_1_journal_reruns_and_runs_no_code(self, tmp_path):
+        """A journal holding pickles is stale: resuming from it re-runs
+        every site, matches the fresh result and never deserializes one."""
+        checkpoint_dir = tmp_path / "ckpt"
+        marker = tmp_path / "marker"
+
+        def scan():
+            campaign = ShardedZgrabCampaign(
+                population=build_population("alexa", seed=2018, scale=0.05),
+                config=ParallelConfig(shards=2, checkpoint_dir=str(checkpoint_dir)),
+            )
+            return campaign.scan(0), campaign.metrics.fault_ledger
+
+        fresh, fresh_ledger = scan()
+        journals = sorted(checkpoint_dir.glob("*.journal"))
+        assert len(journals) == 2
+        for path in journals:
+            _as_version_1(path, marker)
+
+        resumed, ledger = scan()
+        assert not marker.exists()
+        assert resumed == fresh
+        assert ledger.checkpoint_resumed == 0
+        assert ledger.checkpoint_recorded == fresh_ledger.checkpoint_recorded > 0
+
+
+def _journaled_outcomes(monkeypatch, outcome_type, run) -> list:
+    """The outcomes ``run()`` journals, captured as they are encoded."""
+    captured = []
+    encode = outcome_type.to_dict
+
+    def spy(outcome):
+        captured.append(outcome)
+        return encode(outcome)
+
+    monkeypatch.setattr(outcome_type, "to_dict", spy)
+    run()
+    monkeypatch.setattr(outcome_type, "to_dict", encode)
+    return captured
+
+
+def _roundtrip(outcome):
+    payload = json.loads(json.dumps(outcome.to_dict()))
+    return type(outcome).from_dict(payload)
+
+
+class TestOutcomeCodec:
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("dataset", ["alexa", "com-stream"])
+    def test_zgrab_outcomes_roundtrip(self, tmp_path, monkeypatch, dataset, observed):
+        if dataset == "com-stream":
+            strata = parse_strata("top:40:0.5,mid:160:0.25,tail:-:0.1", DATASETS["com"])
+            population = StreamingPopulation("com", seed=2018, size=300, strata=strata)
+        else:
+            population = build_population(dataset, seed=2018, scale=0.05)
+        population.attach_fault_plan(build_fault_plan("heavy", seed=2018))
+        campaign = ShardedZgrabCampaign(
+            population=population,
+            config=ParallelConfig(
+                shards=2, resilience=ResiliencePolicy(), checkpoint_dir=str(tmp_path)
+            ),
+            obs=make_obs(prefix="codec") if observed else NULL_OBS,
+        )
+        outcomes = _journaled_outcomes(
+            monkeypatch, ZgrabSiteOutcome, lambda: campaign.scan(0)
+        )
+        assert len(outcomes) == len(population.sites)
+        assert any(outcome.failed for outcome in outcomes)
+        assert any(outcome.labels for outcome in outcomes)
+        assert any(outcome.ledger.retries for outcome in outcomes)
+        assert any(outcome.evidence for outcome in outcomes) == observed
+        assert any(outcome.stage_spans for outcome in outcomes) == observed
+        for outcome in outcomes:
+            decoded = _roundtrip(outcome)
+            assert decoded == outcome
+            assert decoded.evidence == outcome.evidence
+            assert decoded.stage_spans == outcome.stage_spans
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("catalogue", ["reference", "empty"])
+    def test_chrome_outcomes_roundtrip(self, tmp_path, monkeypatch, catalogue, observed):
+        """With an empty signature catalogue every verdict comes from the
+        feature cascade, so the reports carry ``WasmFeatures``."""
+        signature_db_path = None
+        if catalogue == "empty":
+            signature_db_path = tmp_path / "signatures.json"
+            signature_db_path.write_text(SignatureDatabase().to_json())
+        population = build_population("alexa", seed=2018, scale=0.05)
+        population.attach_fault_plan(build_fault_plan("heavy", seed=2018))
+        campaign = ShardedChromeCampaign(
+            population=population,
+            config=ParallelConfig(shards=2, checkpoint_dir=str(tmp_path / "ckpt")),
+            signature_db_path=signature_db_path and str(signature_db_path),
+            obs=make_obs(prefix="codec") if observed else NULL_OBS,
+        )
+        outcomes = _journaled_outcomes(monkeypatch, ChromeSiteOutcome, campaign.run)
+        assert len(outcomes) == len(population.sites)
+        reports = [outcome.report for outcome in outcomes]
+        assert any(report.is_miner for report in reports)
+        assert any(report.miner and report.miner.features for report in reports) == (
+            catalogue == "empty"
+        )
+        assert any(report.status == "error" for report in reports)
+        assert any(outcome.ledger.has_events() for outcome in outcomes)
+        assert any(report.evidence for report in reports) == observed
+        for outcome in outcomes:
+            decoded = _roundtrip(outcome)
+            assert decoded == outcome
+            assert decoded.report.evidence == outcome.report.evidence  # not compared by ==
+
+
+def test_fault_modules_do_not_import_pickle():
+    faults = pathlib.Path(repro.faults.__file__).parent
+    for path in sorted(faults.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(
+                module.split(".")[0] in ("pickle", "_pickle") for module in modules
+            ), f"{path.name}:{node.lineno} imports pickle"
 
 
 # ---------------------------------------------------------------------------

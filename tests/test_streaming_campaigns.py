@@ -30,6 +30,7 @@ from repro.internet.population import DATASETS
 from repro.internet.streaming import StreamingPopulation, parse_strata
 from repro.obs.clock import TickClock, use_clock
 from repro.obs.profile import make_obs
+from tests.oracles.crawl import SequentialZgrabCampaign
 
 SEED = 2018
 SIZE = 320
@@ -108,7 +109,7 @@ class TestExecutorInvariance:
 
     def test_sharded_equals_unsharded_campaign(self):
         population = _population()
-        sequential = ZgrabCampaign(population=population)
+        sequential = SequentialZgrabCampaign(population=population)
         partial = sequential.scan_sites(population.sites, 0)
         baseline = sequential.finalize_scan(partial, 0)
         sharded, _, _ = _run(_population(), "serial", 1)

